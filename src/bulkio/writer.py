@@ -4,10 +4,16 @@ All branches flush at the same entry boundaries (every ``basket_capacity``
 entries), so every branch of a file has identical basket spans. Variable
 arrays are backed by a writer-managed u32 count branch, visible in the
 footer like any other branch.
+
+``fill`` and ``extend`` copy their inputs into disk order when called, so
+callers may reuse their buffers. A branch's open basket is a list of such
+chunks; ``extend`` has one path, adding a chunk per basket it touches, and
+a flush joins them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import dataclass
 from os import PathLike
@@ -45,8 +51,8 @@ class WriteStats:
 
 class _Branch:
     __slots__ = (
-        "name", "etype", "kind", "fixed_len", "count", "is_count",
-        "pending", "baskets", "count_index",
+        "name", "etype", "kind", "fixed_len", "count", "is_count", "disk",
+        "rows", "chunks", "baskets", "count_index",
     )
 
     def __init__(self, name: str, etype: ElementType, kind: ShapeKind,
@@ -58,11 +64,31 @@ class _Branch:
         self.count: "_Branch | None" = None  # var branches: managed count branch
         self.count_index = -1
         self.is_count = is_count
-        self.pending: list = []
+        # BOOL is stored as u1 bytes 0/1; casting through bool gives exactly that
+        self.disk = np.dtype(bool if etype is ElementType.BOOL else etype.np_disk)
+        self.rows: list = []  # fill() values not yet sealed into a chunk
+        self.chunks: list[np.ndarray] = []  # the open basket, flat, disk order
         self.baskets: list[BasketDescriptor] = []
 
-    def encode_pending(self) -> bytes:
-        return _encode_values(self.pending, self.etype, self.kind)
+    def check_range(self, arr: np.ndarray) -> None:
+        """Reject integers the element type cannot hold (casts would wrap)."""
+        # dtype <= dtype is numpy's cheap spelling of can_cast(..., "safe")
+        if arr.dtype <= self.disk or self.disk.kind not in "iu" or not arr.size:
+            return
+        info = np.iinfo(self.disk)
+        if arr.min() < info.min or arr.max() > info.max:
+            raise ShapeError(f"branch {self.name!r}: values outside "
+                             f"[{info.min}, {info.max}] do not fit {self.etype.name}")
+
+    def owned(self, values) -> np.ndarray:
+        """A copy of values in disk order; ShapeError if they do not fit."""
+        if isinstance(values, np.ndarray):
+            self.check_range(values)
+            return values.astype(self.disk)
+        try:  # numpy converts each Python number exactly, or raises
+            return np.array(values, dtype=self.disk)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ShapeError(f"branch {self.name!r}: {exc}") from None
 
     def descriptor(self) -> BranchDescriptor:
         if self.kind is ShapeKind.FIXED_ARRAY:
@@ -72,26 +98,6 @@ class _Branch:
         else:
             shape = BranchShape(self.kind)
         return BranchDescriptor(self.name, self.etype, shape, self.baskets)
-
-
-def _encode_values(values, etype: ElementType, kind: ShapeKind) -> bytes:
-    """Big-endian payload for one basket's worth of values."""
-    if kind is ShapeKind.VAR_ARRAY:
-        if not values:
-            return b""
-        flat: list = []
-        for row in values:
-            flat.extend(row)
-        values = flat
-    if etype is ElementType.BOOL:
-        return np.asarray(values, dtype=bool).astype("u1").tobytes()
-    return np.asarray(values, dtype=etype.np_disk).tobytes()
-
-
-def _encode_array(arr: np.ndarray, etype: ElementType) -> bytes:
-    if etype is ElementType.BOOL:
-        return arr.astype(bool).astype("u1").tobytes()
-    return np.ascontiguousarray(arr).astype(etype.np_disk, copy=False).tobytes()
 
 
 class TreeWriter:
@@ -164,11 +170,14 @@ class TreeWriter:
         return [b.name for b in self._branches]
 
     def fill(self, **values) -> int:
-        """Append one event; returns the entry index it received."""
+        """Append one event; returns the entry index it received.
+
+        A scalar its element type cannot hold closes the writer with a
+        ShapeError once sealed into a chunk (by a flush or an extend)."""
         self._check_open()
         self._check_arity(values)
         checked = []
-        count_values: dict[str, int] = {}
+        count_values: dict[_Branch, int] = {}
         for br in self._user:
             v = values[br.name]
             if br.kind is ShapeKind.SCALAR:
@@ -186,21 +195,24 @@ class TreeWriter:
                         f"branch {br.name!r} expects {br.fixed_len} elements, got {n}"
                     )
                 if br.kind is ShapeKind.VAR_ARRAY:
-                    prev = count_values.setdefault(br.count.name, n)
+                    prev = count_values.setdefault(br.count, n)
                     if prev != n:
                         raise ShapeError(
                             f"shared count branch {br.count.name!r} got lengths "
                             f"{prev} and {n} in one event"
                         )
+                v = br.owned(v)
+                if v.ndim != 1:
+                    raise ShapeError(f"branch {br.name!r} expects a flat sequence")
             checked.append((br, v))
         for br, v in checked:
-            br.pending.append(v)
-        for cname, n in count_values.items():
-            self._by_name[cname].pending.append(n)
+            br.rows.append(v)
+        for cb, n in count_values.items():
+            cb.rows.append(n)
         entry = self._n_filled
         self._n_filled += 1
         if self._n_filled - self._basket_first == self._capacity:
-            self._flush_pending()
+            self._flush()
         return entry
 
     def extend(self, **arrays) -> int:
@@ -208,38 +220,28 @@ class TreeWriter:
 
         Scalar branches take a 1-D array, fixed arrays an (n, k) array, and
         var arrays either a (flat_values, counts) pair or a sequence of rows.
+        Integers the element type cannot hold raise ShapeError, appending none.
         """
         self._check_open()
         self._check_arity(arrays)
-        cols: dict[str, tuple] = {}
-        m = -1
-
-        def check_len(name, n):
-            nonlocal m
-            if m == -1:
-                m = n
-            elif n != m:
-                raise ShapeError(
-                    f"branch {name!r} got {n} events, expected {m}"
-                )
-
-        count_arrays: dict[str, np.ndarray] = {}
+        # (branch, column, offsets): events [lo, hi) are column[lo:hi] or, for
+        # var flat values, column[offsets[lo]:offsets[hi]]
+        sources: list[tuple[_Branch, np.ndarray, "np.ndarray | None"]] = []
+        lengths: dict[str, int] = {}
+        count_arrays: dict[_Branch, np.ndarray] = {}
         for br in self._user:
             v = arrays[br.name]
-            if br.kind is ShapeKind.SCALAR:
+            if br.kind is not ShapeKind.VAR_ARRAY:
                 arr = np.asarray(v)
-                if arr.ndim != 1:
+                if br.kind is ShapeKind.SCALAR and arr.ndim != 1:
                     raise ShapeError(f"branch {br.name!r} expects a 1-D array")
-                check_len(br.name, len(arr))
-                cols[br.name] = (arr,)
-            elif br.kind is ShapeKind.FIXED_ARRAY:
-                arr = np.asarray(v)
-                if arr.ndim != 2 or arr.shape[1] != br.fixed_len:
+                if br.kind is ShapeKind.FIXED_ARRAY and (
+                        arr.ndim != 2 or arr.shape[1] != br.fixed_len):
                     raise ShapeError(
                         f"branch {br.name!r} expects shape (n, {br.fixed_len})"
                     )
-                check_len(br.name, len(arr))
-                cols[br.name] = (arr,)
+                lengths[br.name] = len(arr)
+                sources.append((br, arr, None))
             else:
                 if isinstance(v, tuple) and len(v) == 2:
                     flat = np.asarray(v[0])
@@ -256,33 +258,38 @@ class TreeWriter:
                         f"branch {br.name!r}: counts sum to {int(counts.sum())}, "
                         f"got {len(flat)} elements"
                     )
-                check_len(br.name, len(counts))
-                prev = count_arrays.get(br.count.name)
+                lengths[br.name] = len(counts)
+                prev = count_arrays.get(br.count)
                 if prev is None:
-                    count_arrays[br.count.name] = counts
+                    count_arrays[br.count] = counts
+                    sources.append((br.count, counts, None))
                 elif not np.array_equal(prev, counts):
                     raise ShapeError(
                         f"shared count branch {br.count.name!r} got differing counts"
                     )
                 offsets = np.zeros(len(counts) + 1, dtype="i8")
                 np.cumsum(counts, out=offsets[1:])
-                cols[br.name] = (flat, counts, offsets)
-        if m <= 0:
+                sources.append((br, flat, offsets))
+        if len(set(lengths.values())) > 1:
+            raise ShapeError(f"branches got differing numbers of events: {lengths}")
+        for br, column, _ in sources:
+            br.check_range(column)
+        m = lengths.popitem()[1]
+        if m == 0:
             return 0
 
-        pos = 0
-        while pos < m:
-            open_count = self._n_filled - self._basket_first
-            take = min(self._capacity - open_count, m - pos)
-            if open_count == 0 and take == self._capacity:
-                self._flush_slices(cols, count_arrays, pos, pos + take)
-                self._n_filled += take
-            else:
-                self._append_slices(cols, count_arrays, pos, pos + take)
-                self._n_filled += take
-                if self._n_filled - self._basket_first == self._capacity:
-                    self._flush_pending()
-            pos += take
+        self._seal()  # filled rows go before this call's events
+        lo = 0
+        while lo < m:
+            hi = min(lo + self._capacity - (self._n_filled - self._basket_first), m)
+            for br, column, offsets in sources:
+                part = (column[lo:hi] if offsets is None
+                        else column[offsets[lo]:offsets[hi]])
+                br.chunks.append(part.astype(br.disk).reshape(-1))
+            self._n_filled += hi - lo
+            if self._n_filled - self._basket_first == self._capacity:
+                self._flush()
+            lo = hi
         return m
 
     def _check_open(self) -> None:
@@ -302,52 +309,38 @@ class TreeWriter:
 
     # --- basket emission ---
 
-    def _append_slices(self, cols, count_arrays, lo: int, hi: int) -> None:
-        for br in self._user:
-            c = cols[br.name]
-            if br.kind is ShapeKind.SCALAR:
-                br.pending.extend(c[0][lo:hi].tolist())
-            elif br.kind is ShapeKind.FIXED_ARRAY:
-                br.pending.extend(list(c[0][lo:hi]))
-            else:
-                flat, _, offsets = c
-                br.pending.extend(
-                    flat[offsets[i]:offsets[i + 1]] for i in range(lo, hi)
-                )
-        for cname, counts in count_arrays.items():
-            self._by_name[cname].pending.extend(counts[lo:hi].tolist())
+    def _seal(self) -> None:
+        """Turn each branch's filled rows into a chunk, before any basket write.
+        A filled scalar that does not fit fails the writer: it cannot flush."""
+        try:
+            for br in self._branches:
+                if br.rows:  # array rows are already in disk order
+                    br.chunks.append(br.owned(br.rows) if br.kind is ShapeKind.SCALAR
+                                     else np.concatenate(br.rows, dtype=br.disk))
+                    br.rows = []
+        except ShapeError:
+            self._abandon()
+            raise
 
-    def _flush_slices(self, cols, count_arrays, lo: int, hi: int) -> None:
-        for br in self._user:
-            c = cols[br.name]
-            if br.kind is ShapeKind.VAR_ARRAY:
-                flat, _, offsets = c
-                payload = _encode_array(flat[offsets[lo]:offsets[hi]], br.etype)
-            else:
-                payload = _encode_array(c[0][lo:hi], br.etype)
-            self._write_basket(br, payload, hi - lo)
-        for cname, counts in count_arrays.items():
-            cb = self._by_name[cname]
-            self._write_basket(cb, _encode_array(counts[lo:hi], cb.etype), hi - lo)
-        self._basket_first += hi - lo
-
-    def _flush_pending(self) -> None:
+    def _flush(self) -> None:
         n = self._n_filled - self._basket_first
         if n == 0:
             return
+        self._seal()
         for br in self._branches:
-            payload = br.encode_pending()
-            br.pending.clear()
-            self._write_basket(br, payload, n)
+            chunks, br.chunks = br.chunks, []
+            payload = (chunks[0] if len(chunks) == 1
+                       else np.concatenate(chunks, dtype=br.disk))
+            self._write_basket(br, payload.view("u1"), n)
         self._basket_first = self._n_filled
 
-    def _write_basket(self, br: _Branch, payload: bytes, n_entries: int) -> None:
+    def _write_basket(self, br: _Branch, payload: np.ndarray, n_entries: int) -> None:
         compressed = compress_payload(payload, self._codec)
         try:
             offset = self._fobj.tell()
             self._fobj.write(compressed)
         except OSError as exc:
-            self._closed = True
+            self._abandon()
             raise WriteError(f"basket write failed: {exc}") from exc
         br.baskets.append(BasketDescriptor(
             first_entry=self._basket_first,
@@ -358,13 +351,19 @@ class TreeWriter:
             codec=self._codec,
         ))
 
+    def _abandon(self) -> None:
+        """Close the incomplete file after a failure; it must not be used."""
+        self._closed = True
+        with contextlib.suppress(OSError):
+            self._fobj.close()
+
     # --- closing ---
 
     def close(self) -> WriteStats:
         """Flush the open basket, write footer and trailer, close the file."""
         self._check_open()
         try:
-            self._flush_pending()
+            self._flush()
             footer = FileFooter(
                 tree_name=self._tree_name,
                 n_entries=self._n_filled,
@@ -377,7 +376,7 @@ class TreeWriter:
             size = self._fobj.tell()
             self._fobj.close()
         except OSError as exc:
-            self._closed = True
+            self._abandon()
             raise WriteError(f"close failed: {exc}") from exc
         self._closed = True
         return WriteStats(

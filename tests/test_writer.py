@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bulkio import (
+    BulkIOError,
     Codec,
     ElementType,
     SchemaError,
@@ -226,3 +227,154 @@ def test_roundtrip_every_type_and_shape(tmp_path, rng, etype, shape_name):
     path = tmp_path / f"{etype.name}_{shape_name}.bkio"
     write_events(path, etype, shape, events, capacity=7, codec=Codec.DEFLATE)
     assert_three_way_roundtrip(path, etype, shape, events)
+
+
+def _read_all(path, name="x"):
+    with TreeFile(path) as tf:
+        rd = tf.branch(name)
+        return [rd.get_entry(i) for i in range(rd.n_entries)]
+
+
+def _extend_args(etype, shape, events):
+    """extend() input for a run of fill() events."""
+    native = etype.np_native
+    if shape.kind is ShapeKind.SCALAR:
+        return np.asarray(events, dtype=native)
+    if shape.kind is ShapeKind.FIXED_ARRAY:
+        return np.stack(events).astype(native)
+    counts = np.array([len(r) for r in events], dtype="u4")
+    return (np.concatenate(events).astype(native), counts)
+
+
+CAP = 8
+
+
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE],
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("etype", ALL_TYPES, ids=lambda t: t.name)
+@pytest.mark.parametrize("shape_name", ["scalar", "fixed", "var"])
+def test_fill_and_extend_write_identical_files(tmp_path, rng, etype,
+                                               shape_name, codec):
+    shape = {"scalar": scalar(), "fixed": fixed_array(3),
+             "var": var_array()}[shape_name]
+    n = 50
+    events = make_events(rng, etype, shape, n)
+    ref = tmp_path / "fill.bkio"
+    write_events(ref, etype, shape, events, capacity=CAP, codec=codec)
+    # plans of (how, number of events): extend in every chunk size around
+    # the capacity, and fills and extends alternating inside one basket
+    plans = {f"extend{k}": [("extend", k)] * -(-n // k)
+             for k in (1, 3, CAP - 1, CAP, CAP + 1, int(2.5 * CAP))}
+    plans["mixed"] = [("fill", 2), ("extend", 3), ("fill", 1),
+                      ("extend", 5), ("extend", 1)] * n
+    for label, plan in plans.items():
+        path = tmp_path / f"{label}.bkio"
+        with TreeWriter(path, [("x", etype, shape)],
+                        basket_capacity_entries=CAP, codec=codec) as w:
+            lo = 0
+            for how, k in plan:
+                part = events[lo:lo + k]
+                if not part:
+                    break
+                if how == "fill":
+                    for v in part:
+                        w.fill(x=v)
+                else:
+                    w.extend(x=_extend_args(etype, shape, part))
+                lo += len(part)
+        assert path.read_bytes() == ref.read_bytes(), label
+
+
+@pytest.mark.parametrize("shape", [fixed_array(2), var_array()],
+                         ids=["fixed", "var"])
+def test_fill_copies_a_reused_buffer(tmp_path, shape):
+    path = tmp_path / "reuse.bkio"
+    buf = np.zeros(2, dtype="i4")
+    with TreeWriter(path, [("x", ElementType.I32, shape)]) as w:
+        for i in range(4):
+            buf[:] = i
+            w.fill(x=buf)
+    assert [list(v) for v in _read_all(path)] == [[i, i] for i in range(4)]
+
+
+def test_extend_copies_its_inputs(tmp_path):
+    path = tmp_path / "mutate.bkio"
+    schema = [("x", ElementType.F32, scalar()),
+              ("a", ElementType.I32, fixed_array(2)),
+              ("v", ElementType.I32, var_array())]
+    xs = np.arange(5, dtype="f4")
+    fix = np.arange(10, dtype="i4").reshape(5, 2)
+    flat = np.arange(7, dtype="i4")
+    counts = np.array([1, 2, 0, 3, 1], dtype="u4")
+    want = [xs.copy(), fix.copy(), flat.copy()]
+    with TreeWriter(path, schema, basket_capacity_entries=4) as w:
+        w.extend(x=xs, a=fix, v=(flat, counts))  # one full basket, one open
+        for arr in (xs, fix, flat):
+            arr[...] = -1
+    offs = np.concatenate(([0], np.cumsum(counts))).astype(int)
+    assert _read_all(path, "x") == want[0].tolist()
+    assert np.array_equal(np.array(_read_all(path, "a")), want[1])
+    got = _read_all(path, "v")
+    for i in range(5):
+        assert np.array_equal(got[i], want[2][offs[i]:offs[i + 1]])
+
+
+@pytest.mark.parametrize("chunk", [3, 4], ids=["unaligned", "aligned"])
+@pytest.mark.parametrize("shape", [scalar(), fixed_array(1), var_array()],
+                         ids=["scalar", "fixed", "var"])
+def test_extend_rejects_out_of_range_integers(tmp_path, chunk, shape):
+    path = tmp_path / "range.bkio"
+    with TreeWriter(path, [("x", ElementType.I16, shape)],
+                    basket_capacity_entries=4) as w:
+        good = np.arange(chunk, dtype="i4")
+        bad = good.copy()
+        bad[-1] = 70000
+        args = {ShapeKind.SCALAR: lambda a: a,
+                ShapeKind.FIXED_ARRAY: lambda a: a.reshape(-1, 1),
+                ShapeKind.VAR_ARRAY: lambda a: (a, np.ones(len(a), "u4"))}
+        to_arg = args[shape.kind]
+        w.extend(x=to_arg(good))
+        with pytest.raises(ShapeError, match="I16"):
+            w.extend(x=to_arg(bad))
+        assert w.n_entries == chunk  # nothing of the bad call was appended
+        w.extend(x=to_arg(good))
+    assert len(_read_all(path)) == 2 * chunk
+
+
+def test_extend_range_check_bounds(tmp_path):
+    path = tmp_path / "bounds.bkio"
+    schema = [("a", ElementType.U32, scalar()), ("b", ElementType.I64, scalar())]
+    with TreeWriter(path, schema, basket_capacity_entries=4) as w:
+        w.extend(a=np.array([0, 2**32 - 1], dtype="u8"),
+                 b=np.array([2**63 - 1, 0], dtype="u8"))
+        with pytest.raises(ShapeError):
+            w.extend(a=np.array([-1, 0], dtype="i8"), b=np.zeros(2, "i8"))
+        with pytest.raises(ShapeError):
+            w.extend(a=np.zeros(2, "u4"), b=np.array([2**63, 0], dtype="u8"))
+    assert _read_all(path, "a") == [0, 2**32 - 1]
+    assert _read_all(path, "b") == [2**63 - 1, 0]
+
+
+@pytest.mark.parametrize("shape", [fixed_array(1), var_array()],
+                         ids=["fixed", "var"])
+def test_fill_rejects_out_of_range_array_values(tmp_path, shape):
+    path = tmp_path / "fill_range.bkio"
+    with TreeWriter(path, [("x", ElementType.I16, shape)]) as w:
+        with pytest.raises(ShapeError):
+            w.fill(x=np.array([70000], dtype="i4"))
+        with pytest.raises(ShapeError):
+            w.fill(x=[70000])
+        w.fill(x=[7])
+    assert [list(v) for v in _read_all(path)] == [[7]]
+
+
+def test_fill_out_of_range_scalar_fails_before_any_basket_write(tmp_path):
+    path = tmp_path / "fill_scalar.bkio"
+    schema = [("a", ElementType.F32, scalar()), ("b", ElementType.I16, scalar())]
+    w = TreeWriter(path, schema, basket_capacity_entries=2)
+    w.fill(a=1.0, b=70000)
+    with pytest.raises(BulkIOError):
+        w.fill(a=2.0, b=1)  # completes the basket, whose "b" cannot encode
+    assert path.stat().st_size == 8  # header only: "a" was not written either
+    with pytest.raises(WriterClosed):
+        w.close()
