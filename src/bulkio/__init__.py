@@ -15,6 +15,7 @@ from .errors import (
     DecompressError,
     EmptyBenchmark,
     EntryOutOfRange,
+    FileClosed,
     FormatError,
     IndexOutOfRange,
     InvalidProxyState,
@@ -72,7 +73,7 @@ __all__ = [
     "Codec", "CountBuffer", "CountBufferRequired", "DataSource",
     "DecompressError", "DEFAULT_BASKET_CAPACITY", "ElementType",
     "EmptyBenchmark", "EntryOutOfRange", "EventReader", "FastEventReader",
-    "FileFooter", "FormatError", "Frame", "IndexOutOfRange",
+    "FileClosed", "FileFooter", "FormatError", "Frame", "IndexOutOfRange",
     "InvalidProxyState", "NoRecords", "NotABulkFile", "NotBasketStart",
     "SchemaError", "ShapeError", "ShapeKind", "SourceMode", "TreeFile",
     "TreeWriter", "TypeMismatch", "UnknownBranch", "UnknownColumn",

@@ -9,7 +9,7 @@ checksums (that gate comes before any timing claim):
 * ``reader``         plain event iterator (dereference -> get_entry)
 * ``fast-reader``    fast iterator, serialized blocks decoded in the reduction
 * ``rdf-standard``   frame dispatch per event over a per-entry source
-* ``rdf-bulk``       frame dispatch per event over basket-buffered source
+* ``rdf-bulk``       frame dispatch per event over a basket-window source
 * ``rds-bulk``       direct source-buffer reduction, no frame dispatch
 
 Wall time covers iterating all events; readers are opened fresh for every
@@ -235,11 +235,21 @@ def _prep_fast_reader(path: PathArg) -> Callable[[], float]:
     return go
 
 
+def _elem_sum(values: np.ndarray) -> float:
+    return float(np.sum(values, dtype=np.float64))
+
+
 def _prep_rdf(path: PathArg, mode: SourceMode) -> Callable[[], float]:
     source = make_source(path, mode=mode, n_slots=1)
     with TreeFile(path) as tf:
         name = _user_branch(tf)
+        shape = tf.footer.branches[tf.footer.branch_index(name)].shape
     frame = Frame(source)
+    if shape.kind is not ShapeKind.SCALAR:
+        # Frame.sum takes scalars: sum each event's elements first, in order
+        column = name
+        name = f"{column}.elem_sum"
+        frame = frame.define(name, _elem_sum, [column])
     return lambda: frame.sum(name)
 
 

@@ -1,20 +1,28 @@
 """Minimal declarative analysis layer over a pluggable column source.
 
 :func:`make_source` opens a file as a :class:`DataSource` with one or more
-slots, each owning its own branch readers and buffers over an entry range
-aligned to basket boundaries. :class:`Frame` composes filters and derived
-columns lazily; nothing is read until an action (count / sum / histogram)
-runs. The frame dispatches per event through the node chain — one
-indirection per column per event — while :func:`direct_sum` and friends
-bypass the frame and reduce over the source's per-basket buffers.
+slots, each an entry range aligned to basket boundaries. :class:`Frame`
+composes filters and derived columns lazily; nothing is read until an
+action (count / sum / histogram) runs. An action walks each slot one window
+at a time and dispatches per event through the node chain, compiled once
+per window. In PER_ENTRY mode the window is the whole slot and each column
+value is one ``BranchReader.get_entry`` call. In BULK mode a window is one
+basket: each column the action reads is fetched serialized and decoded once
+per basket, and the chain indexes those values by position. Readers live
+only while their action runs. :func:`direct_sum` and friends bypass the
+frame and reduce over the source's per-basket buffers.
 
 Predicates and expressions are plain Python callables over the named
-columns' values, applied in declaration order.
+columns' values, applied in declaration order; a filter chain stops at the
+first false predicate, and a define is evaluated each time it is referenced.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
+from contextlib import closing
+from functools import partial
 from os import PathLike
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -52,85 +60,71 @@ def _slot_splits(firsts: Sequence[int], n_entries: int, n_slots: int) -> list[in
 class _PerEntryColumn:
     """One per-event library call per value, through the branch reader."""
 
-    __slots__ = ("read",)
+    __slots__ = ("read", "__weakref__")
 
     def __init__(self, rd: BranchReader):
         self.read = rd.get_entry
 
 
-class _BulkScalarColumn:
-    """Values served from a serialized basket buffer, refilled per basket."""
+class _BulkColumn:
+    """A column's values one basket (a window) at a time, decoded once.
 
-    __slots__ = ("_rd", "_buf", "_view", "_first", "_end")
+    :meth:`load` fetches the basket with ``get_entries_serialized`` and
+    decodes all of it: scalars into a list through one ``tolist()``, arrays
+    into per-event views of one fresh native copy of the basket, so an
+    array handed out stays valid after the next load. BOOL bytes are checked
+    once per basket.
+    """
 
-    def __init__(self, rd: BranchReader):
-        self._rd = rd
-        self._buf = BulkBuffer()
-        self._view = None
-        self._first = 0
-        self._end = 0
-
-    def _refill(self, entry: int) -> None:
-        first, _ = self._rd.basket_bounds(entry)
-        n = self._rd.get_entries_serialized(first, self._buf)
-        self._view = self._buf.as_array()
-        self._first = first
-        self._end = first + n
-
-    def read(self, entry: int):
-        if entry >= self._end or entry < self._first:
-            self._refill(entry)
-        return self._view.item(entry - self._first)
-
-
-class _BulkBoolColumn(_BulkScalarColumn):
-    __slots__ = ()
-
-    def read(self, entry: int):
-        if entry >= self._end or entry < self._first:
-            self._refill(entry)
-        b = self._view.item(entry - self._first)
-        if b > 1:
-            raise FormatError(f"invalid BOOL byte 0x{b:02X}")
-        return bool(b)
-
-
-class _BulkArrayColumn:
-    """Per-event arrays rebuilt from the serialized buffer and count buffer."""
-
-    __slots__ = ("_rd", "_buf", "_cbuf", "_view", "_offsets", "_native",
-                 "_is_bool", "_first", "_end")
+    __slots__ = ("_rd", "_buf", "_cbuf", "_native", "_check_bool", "_kind",
+                 "_fixed_len", "first", "end", "values", "__weakref__")
 
     def __init__(self, rd: BranchReader):
+        shape = rd.descriptor.shape
         self._rd = rd
         self._buf = BulkBuffer()
-        self._cbuf = CountBuffer()
-        self._view = None
-        self._offsets = None
+        self._cbuf = CountBuffer() if shape.kind is ShapeKind.VAR_ARRAY else None
         self._native = rd.element_type.np_native
-        self._is_bool = rd.element_type is ElementType.BOOL
-        self._first = 0
-        self._end = 0
+        self._check_bool = rd.element_type is ElementType.BOOL
+        self._kind = shape.kind
+        self._fixed_len = shape.fixed_len
+        self.first = self.end = 0
+        self.values: list = []
 
-    def _refill(self, entry: int) -> None:
-        first, _ = self._rd.basket_bounds(entry)
-        n = self._rd.get_entries_serialized(first, self._buf, self._cbuf)
-        self._view = self._buf.as_array()
-        self._offsets = self._cbuf.offsets()
-        self._first = first
-        self._end = first + n
+    def load(self, entry: int) -> list:
+        """Decode the basket holding ``entry``; returns its per-event values."""
+        rd = self._rd
+        first, _ = rd.basket_bounds(entry)
+        n = rd.get_entries_serialized(first, self._buf, self._cbuf)
+        disk = self._buf.as_array()
+        if self._check_bool and len(disk) and int(disk.max()) > 1:
+            raise FormatError(f"invalid BOOL byte in basket at entry {first} "
+                              f"of branch {rd.name!r}")
+        native = disk.astype(self._native)
+        if self._kind is ShapeKind.SCALAR:
+            values = native.tolist()
+        elif self._kind is ShapeKind.FIXED_ARRAY:
+            values = list(native.reshape(n, self._fixed_len))
+        else:
+            edges = self._cbuf.offsets().tolist()
+            if edges[-1] != len(native):
+                raise FormatError(
+                    f"branch {rd.name!r}: basket at entry {first} has "
+                    f"{len(native)} elements but counts sum to {edges[-1]}")
+            values = [native[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        self.first, self.end, self.values = first, first + n, values
+        return values
 
-    def read(self, entry: int) -> np.ndarray:
-        if entry >= self._end or entry < self._first:
-            self._refill(entry)
-        local = entry - self._first
-        offs = self._offsets
-        out = self._view[int(offs[local]):int(offs[local + 1])]
-        if self._is_bool:
-            if len(out) and int(out.max()) > 1:
-                raise FormatError("invalid BOOL byte")
-            return out.astype("bool")
-        return out.astype(self._native)
+    def read(self, entry: int):
+        if not self.first <= entry < self.end:
+            self.load(entry)
+        return self.values[entry - self.first]
+
+
+def _baskets(rd: BranchReader) -> int:
+    """Baskets a reader fetched, its var branch's count reader included."""
+    cr = getattr(rd, "count_reader", None)
+    return rd.baskets_read + (cr.baskets_read if cr is not None else 0)
 
 
 class DataSource:
@@ -164,9 +158,11 @@ class DataSource:
                     "branches have differing basket boundaries; cannot "
                     "partition into slots"
                 )
-        splits = _slot_splits(bounds or [], footer.n_entries, n_slots)
+        self._firsts = bounds or []  # basket starts, the same in every branch
+        splits = _slot_splits(self._firsts, footer.n_entries, n_slots)
         self.slot_ranges = list(zip(splits[:-1], splits[1:]))
-        self._readers: list[BranchReader] = []
+        self._live: set[BranchReader] = set()  # readers of running actions
+        self._released_baskets = 0
 
     @property
     def n_entries(self) -> int:
@@ -188,54 +184,86 @@ class DataSource:
     @property
     def baskets_read(self) -> int:
         """Baskets decompressed so far by readers this source created."""
-        total = 0
-        for rd in self._readers:
-            total += rd.baskets_read
-            cr = getattr(rd, "count_reader", None)
-            if cr is not None:
-                total += cr.baskets_read
-        return total
+        return self._released_baskets + sum(map(_baskets, self._live))
 
-    def _make_reader(self, column: str) -> BranchReader:
+    def _open(self, column: str) -> BranchReader:
         try:
             rd = self._tf.branch(column)
         except UnknownBranch:
             raise UnknownColumn(f"no column {column!r}") from None
-        self._readers.append(rd)
+        self._live.add(rd)
         return rd
 
+    def _release(self, readers: Sequence[BranchReader]) -> None:
+        """Drop readers whose work is done, keeping their basket counts."""
+        for rd in readers:
+            self._live.discard(rd)
+            self._released_baskets += _baskets(rd)
+
     def reader(self, column: str, slot: int = 0):
-        """A fresh per-slot column reader with a ``read(entry)`` method."""
+        """A fresh per-slot column reader with a ``read(entry)`` method.
+
+        In BULK mode it decodes a basket at a time, like a frame's window.
+        """
         if not 0 <= slot < self.n_slots:
             raise ValueError(f"slot {slot} not in [0, {self.n_slots})")
-        rd = self._make_reader(column)
-        if self.mode is SourceMode.PER_ENTRY:
-            return _PerEntryColumn(rd)
-        if rd.descriptor.shape.kind is ShapeKind.SCALAR:
-            if rd.element_type is ElementType.BOOL:
-                return _BulkBoolColumn(rd)
-            return _BulkScalarColumn(rd)
-        return _BulkArrayColumn(rd)
+        rd = self._open(column)
+        col = (_PerEntryColumn(rd) if self.mode is SourceMode.PER_ENTRY
+               else _BulkColumn(rd))
+        weakref.finalize(col, self._release, [rd])
+        return col
+
+    def _windows(self, slot: int, columns: Sequence[str]):
+        """``(entries, {column: value of entry})`` for each window of a slot.
+
+        PER_ENTRY: one window, the slot's entries, each value one
+        ``get_entry`` call. BULK: one window per basket, entries ``0..n-1``
+        indexing each column's values decoded from that basket. The readers
+        are released when the generator finishes or is closed.
+        """
+        start, stop = self.slot_ranges[slot]
+        readers: list[BranchReader] = []
+        try:
+            for c in columns:
+                readers.append(self._open(c))
+            if self.mode is SourceMode.PER_ENTRY:
+                yield range(start, stop), {
+                    c: rd.get_entry for c, rd in zip(columns, readers)}
+                return
+            cols = [_BulkColumn(rd) for rd in readers]
+            firsts = self._firsts
+            edges = firsts[bisect_left(firsts, start):bisect_left(firsts, stop)]
+            edges.append(stop)
+            for first, end in zip(edges, edges[1:]):
+                yield range(end - first), {
+                    c: col.load(first).__getitem__ for c, col in zip(columns, cols)}
+        finally:
+            self._release(readers)
 
     def blocks(self, column: str, slot: Optional[int] = None) -> Iterator[np.ndarray]:
         """Serialized per-basket element views over a slot range (or all slots).
 
         This is the bulk seam the direct reductions consume: the views decode
-        lazily, so deserialization happens inside the caller's loop.
+        lazily, so deserialization happens inside the caller's loop. Array
+        columns yield every element of the basket.
         """
         ranges = self.slot_ranges if slot is None else [self.slot_ranges[slot]]
-        rd = self._make_reader(column)
-        needs_counts = rd.descriptor.shape.kind is ShapeKind.VAR_ARRAY
+        _, shape = self.column_info(column)
+        needs_counts = shape.kind is ShapeKind.VAR_ARRAY
 
         def gen():
-            buf = BulkBuffer()
-            cbuf = CountBuffer() if needs_counts else None
-            for start, stop in ranges:
-                entry = start
-                while entry < stop:
-                    n = rd.get_entries_serialized(entry, buf, cbuf)
-                    yield buf.as_array()
-                    entry += n
+            rd = self._open(column)
+            try:
+                buf = BulkBuffer()
+                cbuf = CountBuffer() if needs_counts else None
+                for start, stop in ranges:
+                    entry = start
+                    while entry < stop:
+                        n = rd.get_entries_serialized(entry, buf, cbuf)
+                        yield buf.as_array()
+                        entry += n
+            finally:
+                self._release([rd])
 
         return gen()
 
@@ -331,13 +359,12 @@ class Frame:
 
     def count(self) -> int:
         """Number of events passing all filters."""
-        return self._fold(self._run_slot_count, 0, int.__add__)
+        return self._fold(None, _count_window, int, int.__add__)
 
     def sum(self, column: str) -> float:
         """Float64 sum of a scalar numeric column over passing events."""
         self._check_action_column(column)
-        return self._fold(
-            lambda slot: self._run_slot_sum(slot, column), 0.0, float.__add__)
+        return self._fold(column, _sum_window, float, float.__add__)
 
     def histogram(self, column: str, bins: int, lo: float, hi: float) -> np.ndarray:
         """Fixed-width histogram counts of a scalar numeric column on [lo, hi)."""
@@ -346,9 +373,10 @@ class Frame:
         if not hi > lo:
             raise ValueError("need hi > lo")
         self._check_action_column(column)
-        return self._fold(
-            lambda slot: self._run_slot_hist(slot, column, bins, lo, hi),
-            np.zeros(bins, dtype=np.int64), np.ndarray.__add__)
+        window = partial(_hist_window, lo, hi, (hi - lo) / bins, bins)
+        counts = self._fold(column, window, lambda: [0] * bins,
+                            lambda a, b: list(map(int.__add__, a, b)))
+        return np.asarray(counts, dtype=np.int64)
 
     def _check_action_column(self, column: str) -> None:
         defined = {n.name for n in self._nodes if isinstance(n, _DefineNode)}
@@ -362,90 +390,102 @@ class Frame:
 
     # --- execution ---
 
-    def _fold(self, run_slot, zero, combine):
-        result = zero
-        for slot in range(self._source.n_slots):
-            result = combine(result, run_slot(slot))
+    def _plan(self, column: Optional[str]):
+        """(catalog columns, nodes) an action on ``column`` reads: every
+        filter, and the defines that the action or a filter refers to."""
+        needed = {column} if column is not None else set()
+        nodes = []
+        for node in reversed(self._nodes):
+            if isinstance(node, _FilterNode) or node.name in needed:
+                needed.update(node.columns)
+                nodes.append(node)
+        nodes.reverse()
+        return [c for c in self._source.column_names if c in needed], nodes
+
+    def _fold(self, column: Optional[str], window, zero, combine):
+        """Run ``window(acc, entries, read, passes)`` over every window of
+        every slot. Each slot folds its windows in entry order from
+        ``zero()``; slot results combine in slot order."""
+        columns, nodes = self._plan(column)
+        source = self._source
+        result = zero()
+        for slot in range(source.n_slots):
+            acc = zero()
+            with closing(source._windows(slot, columns)) as windows:
+                for entries, values in windows:
+                    read, passes = _compile(nodes, values, column)
+                    acc = window(acc, entries, read, passes)
+            result = combine(result, acc)
         return result
 
-    def _compile_slot(self, slot: int):
-        """Accessors for every referenced column plus the filter steps."""
-        accessors: dict[str, Callable] = {}
 
-        def accessor(name: str) -> Callable:
-            acc = accessors.get(name)
-            if acc is None:
-                acc = self._source.reader(name, slot).read
-                accessors[name] = acc
-            return acc
+def _call(fn: Callable, args: Sequence[Callable]) -> Callable:
+    """``entry -> fn(*(a(entry) for a in args))``, evaluated at every call."""
+    if len(args) == 1:
+        a0 = args[0]
+        return lambda e: fn(a0(e))
+    return lambda e: fn(*[a(e) for a in args])
 
-        filter_steps = []
-        for node in self._nodes:
-            args = tuple(accessor(c) for c in node.columns)
-            if isinstance(node, _DefineNode):
-                fn = node.fn
-                if len(args) == 1:
-                    a0 = args[0]
-                    accessors[node.name] = lambda e, fn=fn, a0=a0: fn(a0(e))
-                else:
-                    accessors[node.name] = (
-                        lambda e, fn=fn, args=args: fn(*(a(e) for a in args)))
-            else:
-                filter_steps.append((node.fn, args))
-        return accessor, filter_steps
 
-    def _passes(self, entry: int, filter_steps) -> bool:
-        for fn, args in filter_steps:
-            if not fn(*(a(entry) for a in args)):
-                return False
-        return True
-
-    def _run_slot_count(self, slot: int) -> int:
-        start, stop = self._source.slot_ranges[slot]
-        _, filter_steps = self._compile_slot(slot)
-        if not filter_steps:
-            return stop - start
-        n = 0
-        for entry in range(start, stop):
-            if self._passes(entry, filter_steps):
-                n += 1
-        return n
-
-    def _run_slot_sum(self, slot: int, column: str) -> float:
-        start, stop = self._source.slot_ranges[slot]
-        accessor, filter_steps = self._compile_slot(slot)
-        read = accessor(column)
-        acc = 0.0
-        if not filter_steps:
-            for entry in range(start, stop):
-                acc += read(entry)
+def _compile(nodes, values: dict, column: Optional[str]):
+    """(read, passes) over one window: the action column's accessor, and one
+    predicate running the filters in order, or None without filters."""
+    get = dict(values)
+    filters = []
+    for node in nodes:
+        step = _call(node.fn, [get[c] for c in node.columns])
+        if isinstance(node, _DefineNode):
+            get[node.name] = step
         else:
-            for entry in range(start, stop):
-                if self._passes(entry, filter_steps):
-                    acc += read(entry)
-        return acc
+            filters.append(step)
+    if len(filters) > 1:
+        def passes(e) -> bool:
+            return all(f(e) for f in filters)
+    else:
+        passes = filters[0] if filters else None
+    return (get[column] if column is not None else None), passes
 
-    def _run_slot_hist(self, slot: int, column: str, bins: int,
-                       lo: float, hi: float) -> np.ndarray:
-        start, stop = self._source.slot_ranges[slot]
-        accessor, filter_steps = self._compile_slot(slot)
-        read = accessor(column)
-        width = (hi - lo) / bins
-        counts = [0] * bins
-        for entry in range(start, stop):
-            if filter_steps and not self._passes(entry, filter_steps):
-                continue
-            v = read(entry)
-            if lo <= v < hi:
-                counts[_hist_scalar(v, lo, width, bins)] += 1
-        return np.asarray(counts, dtype=np.int64)
+
+# The inner loops, the same for both source modes: ``entries`` indexes the
+# window's values (BULK) or the slot's entries (PER_ENTRY).
+
+def _count_window(n: int, entries: range, read, passes) -> int:
+    if passes is None:
+        return n + len(entries)
+    for e in entries:
+        if passes(e):
+            n += 1
+    return n
+
+
+def _sum_window(acc: float, entries: range, read, passes) -> float:
+    if passes is None:
+        for e in entries:
+            acc += read(e)
+    else:
+        for e in entries:
+            if passes(e):
+                acc += read(e)
+    return acc
+
+
+def _hist_window(lo: float, hi: float, width: float, bins: int,
+                 counts: list, entries: range, read, passes) -> list:
+    for e in entries:
+        if passes is not None and not passes(e):
+            continue
+        v = read(e)
+        if lo <= v < hi:
+            counts[_hist_scalar(v, lo, width, bins)] += 1
+    return counts
 
 
 # --- direct (frame-bypassing) reductions over source buffers ---
 
-def _check_direct_column(source: DataSource, column: str) -> None:
+def _check_direct_column(source: DataSource, column: str,
+                         arrays: bool = False) -> None:
     etype, shape = source.column_info(column)
-    if shape.kind is not ShapeKind.SCALAR:
+    if not arrays and shape.kind is not ShapeKind.SCALAR:
         raise TypeMismatch(f"column {column!r} is not scalar")
     if not etype.is_numeric:
         raise TypeMismatch(f"column {column!r} is not numeric")
@@ -457,8 +497,9 @@ def direct_count(source: DataSource) -> int:
 
 
 def direct_sum(source: DataSource, column: str) -> float:
-    """Float64 column sum reduced basket-by-basket over source buffers."""
-    _check_direct_column(source, column)
+    """Float64 sum of every element of a numeric column (scalar or array),
+    reduced basket-by-basket over source buffers."""
+    _check_direct_column(source, column, arrays=True)
     total = 0.0
     for slot in range(source.n_slots):
         acc = 0.0

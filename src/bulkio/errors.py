@@ -59,6 +59,10 @@ class IndexOutOfRange(BulkIOError):
     """Element index outside a bulk buffer's valid region."""
 
 
+class FileClosed(BulkIOError):
+    """Read through a branch reader whose file has been closed."""
+
+
 # --- iterators / dataframe ---
 
 class UnknownBranch(BulkIOError):

@@ -8,7 +8,8 @@ fill a :class:`CountBuffer` with per-event element counts.
 
 Readers use offset-addressed reads (``os.pread``), so any number of
 BranchReaders may share one open :class:`TreeFile`, including from
-different threads. A single BranchReader is not thread-safe.
+different threads. A single BranchReader is not thread-safe. Closing the
+TreeFile closes its readers: any later read raises :class:`FileClosed`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
+import weakref
 from bisect import bisect_right
 from os import PathLike
 from typing import Optional, Union
@@ -26,6 +28,7 @@ from .errors import (
     CountBufferRequired,
     DecompressError,
     EntryOutOfRange,
+    FileClosed,
     FormatError,
     IndexOutOfRange,
     NotBasketStart,
@@ -165,16 +168,34 @@ class CountBuffer:
         return int(self._mem[i])
 
 
+class _OpenFile:
+    """A TreeFile's descriptor, shared by its readers; -1 once closed."""
+
+    __slots__ = ("fobj", "fd", "cached")
+
+    def __init__(self, fobj):
+        self.fobj = fobj  # keeps the file open as long as any reader lives
+        self.fd = fobj.fileno()
+        # readers holding a per-entry basket, which must not outlive close
+        self.cached: "weakref.WeakSet[BranchReader]" = weakref.WeakSet()
+
+    def close(self) -> None:
+        # the closed descriptor's number may soon belong to another file
+        self.fd = -1
+        for rd in list(self.cached):
+            rd._drop_cache()
+        self.fobj.close()
+
+
 class BranchReader:
     """Reads one branch of an open tree file. Not thread-safe; cheap to make."""
 
-    __slots__ = ("_fobj", "_fd", "_desc", "_etype", "_width", "_baskets",
+    __slots__ = ("_file", "_desc", "_etype", "_width", "_baskets",
                  "_firsts", "_n_entries", "_ck_first", "_ck_end", "_ck_payload",
-                 "_ck_index", "_baskets_read", "_unpack_from")
+                 "_ck_index", "_baskets_read", "_unpack_from", "__weakref__")
 
-    def __init__(self, fobj, descriptor: BranchDescriptor):
-        self._fobj = fobj  # keeps the file open as long as any reader lives
-        self._fd = fobj.fileno()
+    def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
+        self._file = file
         self._desc = descriptor
         self._etype = descriptor.element
         self._width = descriptor.element.width_bytes
@@ -236,8 +257,19 @@ class BranchReader:
             )
         return idx
 
+    def _drop_cache(self) -> None:
+        self._ck_first = self._ck_end = 0  # every entry misses the cache
+        self._ck_payload = b""
+        self._ck_index = -1
+
+    def _open_fd(self) -> int:
+        fd = self._file.fd
+        if fd < 0:
+            raise FileClosed(f"branch {self._desc.name!r}: its file is closed")
+        return fd
+
     def _fetch(self, bk: BasketDescriptor) -> bytes:
-        raw = os.pread(self._fd, bk.compressed_size, bk.file_offset)
+        raw = os.pread(self._open_fd(), bk.compressed_size, bk.file_offset)
         if len(raw) != bk.compressed_size:
             raise DecompressError(
                 f"truncated basket at entry {bk.first_entry} of branch "
@@ -254,6 +286,7 @@ class BranchReader:
         self._ck_first = bk.first_entry
         self._ck_end = bk.first_entry + bk.n_entries
         self._ck_index = idx
+        self._file.cached.add(self)
 
     def _after_load(self, payload: bytes) -> None:
         """Per-shape hook (bool validation, var-array offsets)."""
@@ -265,11 +298,12 @@ class BranchReader:
 
     def _fill_buffer(self, bk: BasketDescriptor, buf: BulkBuffer,
                      state: BufferState) -> None:
+        fd = self._open_fd()
         nbytes = bk.uncompressed_size
         mem = buf._prepare(nbytes, self._etype, state, bk.n_entries,
                            nbytes // self._width)
         if bk.codec is Codec.NONE:
-            got = os.preadv(self._fd, [mem], bk.file_offset) if nbytes else 0
+            got = os.preadv(fd, [mem], bk.file_offset) if nbytes else 0
             if got != nbytes:
                 raise DecompressError(
                     f"truncated basket at entry {bk.first_entry} of branch "
@@ -367,8 +401,8 @@ class _BoolScalarReader(_ScalarReader):
 class _FixedReader(BranchReader):
     __slots__ = ("_k",)
 
-    def __init__(self, fobj, descriptor: BranchDescriptor):
-        super().__init__(fobj, descriptor)
+    def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
+        super().__init__(file, descriptor)
         self._k = descriptor.shape.fixed_len
 
     def _after_load(self, payload: bytes) -> None:
@@ -389,10 +423,10 @@ class _FixedReader(BranchReader):
 class _VarReader(BranchReader):
     __slots__ = ("_count_reader", "_ck_offsets")
 
-    def __init__(self, fobj, descriptor: BranchDescriptor,
+    def __init__(self, file: _OpenFile, descriptor: BranchDescriptor,
                  count_descriptor: BranchDescriptor):
-        super().__init__(fobj, descriptor)
-        self._count_reader = _ScalarReader(fobj, count_descriptor)
+        super().__init__(file, descriptor)
+        self._count_reader = _ScalarReader(file, count_descriptor)
         self._ck_offsets = None
 
     @property
@@ -435,16 +469,16 @@ class _VarReader(BranchReader):
         return arr.astype(self._etype.np_native)
 
 
-def _make_reader(fobj, footer: FileFooter, index: int) -> BranchReader:
+def _make_reader(file: _OpenFile, footer: FileFooter, index: int) -> BranchReader:
     desc = footer.branches[index]
     kind = desc.shape.kind
     if kind is ShapeKind.SCALAR:
         if desc.element is ElementType.BOOL:
-            return _BoolScalarReader(fobj, desc)
-        return _ScalarReader(fobj, desc)
+            return _BoolScalarReader(file, desc)
+        return _ScalarReader(file, desc)
     if kind is ShapeKind.FIXED_ARRAY:
-        return _FixedReader(fobj, desc)
-    return _VarReader(fobj, desc, footer.branches[desc.shape.count_branch])
+        return _FixedReader(file, desc)
+    return _VarReader(file, desc, footer.branches[desc.shape.count_branch])
 
 
 class TreeFile:
@@ -458,6 +492,7 @@ class TreeFile:
             self._fobj.close()
             raise
         self.path = os.fspath(path)
+        self._file = _OpenFile(self._fobj)
 
     @property
     def n_entries(self) -> int:
@@ -479,10 +514,11 @@ class TreeFile:
             raise UnknownBranch(
                 f"no branch {name!r} in tree {self.footer.tree_name!r}"
             ) from None
-        return _make_reader(self._fobj, self.footer, index)
+        return _make_reader(self._file, self.footer, index)
 
     def close(self) -> None:
-        self._fobj.close()
+        """Close the file and every reader made from it."""
+        self._file.close()
 
     def __enter__(self) -> "TreeFile":
         return self

@@ -80,6 +80,23 @@ class _Branch:
             raise ShapeError(f"branch {self.name!r}: values outside "
                              f"[{info.min}, {info.max}] do not fit {self.etype.name}")
 
+    def exact(self, values) -> np.ndarray:
+        """values as an array that keeps every integer exact.
+
+        numpy infers float64 for a Python sequence that mixes ints past the
+        int64 range with others (object past uint64), rounding them; for an
+        integer branch such a sequence is converted with the disk dtype
+        instead, which converts each Python int exactly or raises ShapeError.
+        """
+        if isinstance(values, np.ndarray):
+            return values
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "fO" or self.disk.kind not in "iu":
+            return arr
+        exact = self.owned(values)
+        self.check_range(arr)  # numpy scalars and arrays it casts unchecked
+        return exact
+
     def owned(self, values) -> np.ndarray:
         """A copy of values in disk order; ShapeError if they do not fit."""
         if isinstance(values, np.ndarray):
@@ -232,7 +249,7 @@ class TreeWriter:
         for br in self._user:
             v = arrays[br.name]
             if br.kind is not ShapeKind.VAR_ARRAY:
-                arr = np.asarray(v)
+                arr = br.exact(v)
                 if br.kind is ShapeKind.SCALAR and arr.ndim != 1:
                     raise ShapeError(f"branch {br.name!r} expects a 1-D array")
                 if br.kind is ShapeKind.FIXED_ARRAY and (
@@ -244,13 +261,12 @@ class TreeWriter:
                 sources.append((br, arr, None))
             else:
                 if isinstance(v, tuple) and len(v) == 2:
-                    flat = np.asarray(v[0])
+                    flat = br.exact(v[0])
                     counts = np.asarray(v[1], dtype="u4")
-                else:
-                    rows = [np.asarray(r) for r in v]
+                else:  # joined as one sequence: rows' dtypes cannot promote
+                    rows = list(v)
                     counts = np.asarray([len(r) for r in rows], dtype="u4")
-                    flat = (np.concatenate(rows) if rows
-                            else np.empty(0, dtype=br.etype.np_native))
+                    flat = br.exact([x for r in rows for x in r])
                 if counts.ndim != 1 or flat.ndim != 1:
                     raise ShapeError(f"branch {br.name!r}: malformed var input")
                 if int(counts.sum()) != len(flat):

@@ -279,6 +279,23 @@ def test_cli_run_all_scenarios(tmp_path):
         assert sid in r.output
 
 
+@pytest.mark.parametrize("shape,elements", [("var", sum(i % 8 for i in range(500))),
+                                            ("fixed:3", 1500)])
+def test_cli_run_all_scenarios_on_array_files(tmp_path, shape, elements):
+    """Every scenario sums every element: one checksum, also on array files."""
+    runner = CliRunner()
+    path = str(tmp_path / "arr.bkio")
+    csv = str(tmp_path / "arr.csv")
+    runner.invoke(cli_main, ["generate", "--entries", "500", "--shape", shape,
+                             "--basket-entries", "64", "--out", path])
+    r = runner.invoke(cli_main, ["run", "--file", path, "--scenario", "all",
+                                 "--repeat", "1", "--csv", csv])
+    assert r.exit_code == 0, r.output
+    rows = [line.split(",") for line in open(csv).read().splitlines()[1:]]
+    assert [row[0] for row in rows] == ALL_SCENARIOS
+    assert {row[-1] for row in rows} == {repr(bench.ramp_checksum(elements))}
+
+
 def test_cli_generate_zero_entries_fails(tmp_path):
     runner = CliRunner()
     r = runner.invoke(cli_main, ["generate", "--entries", "0",

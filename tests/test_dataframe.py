@@ -299,3 +299,165 @@ def test_slot_readers_independent(mixed_file):
     assert r0.read(a0) == full_scan(mixed_file, "x")[a0]
     assert r1.read(a1) == full_scan(mixed_file, "x")[a1]
     assert r0.read(a0 + 1) == full_scan(mixed_file, "x")[a0 + 1]
+
+
+# --- windows: both modes run one loop over windows of a slot ---
+
+def _three_actions(path, mode, n_slots, build):
+    frame = build(Frame(make_source(path, mode=mode, n_slots=n_slots)))
+    return frame.count(), frame.sum("s"), frame.histogram("s", 9, -2.0, 2.0)
+
+
+@pytest.mark.parametrize("n,capacity", [(0, 16), (1, 16), (50, 16), (301, 32)])
+def test_windows_per_entry_and_bulk_bit_identical(tmp_path, rng, n, capacity):
+    """Filters and chained defines on capacities that do not divide n."""
+    path = tmp_path / "w.bkio"
+    with TreeWriter(path, [("x", ElementType.F64, scalar()),
+                           ("y", ElementType.I32, scalar()),
+                           ("v", ElementType.F32, var_array())],
+                    basket_capacity_entries=capacity) as w:
+        for i in range(n):
+            w.fill(x=float(rng.standard_normal()), y=int(rng.integers(-9, 9)),
+                   v=rng.standard_normal(i % 4).astype("f4"))
+
+    def build(frame):
+        return (frame.define("vs", lambda v: float(np.sum(v, dtype=np.float64)), ["v"])
+                .filter(lambda y: y != 0, ["y"])
+                .define("t", lambda x, vs: x * 0.1 + vs, ["x", "vs"])
+                .define("s", lambda t, y: t / y, ["t", "y"])
+                .filter(lambda s, v: s < 1.5 or len(v) == 3, ["s", "v"]))
+
+    for n_slots in (1, 2, 3):
+        per_entry = _three_actions(path, SourceMode.PER_ENTRY, n_slots, build)
+        bulk = _three_actions(path, SourceMode.BULK, n_slots, build)
+        assert per_entry[:2] == bulk[:2]
+        assert np.array_equal(per_entry[2], bulk[2])
+    if n == 0:
+        assert per_entry[:2] == (0, 0.0)
+
+
+def test_windows_filters_short_circuit_in_order(mixed_file):
+    xs, ys = full_scan(mixed_file, "x"), full_scan(mixed_file, "y")
+    expect = []
+    for x, y in zip(xs, ys):
+        expect.append(("y", y))
+        if y > 0:
+            expect.append(("x", x))
+    for mode in MODES:
+        calls = []
+        frame = (Frame(make_source(mixed_file, mode=mode))
+                 .filter(lambda y: calls.append(("y", y)) or y > 0, ["y"])
+                 .filter(lambda x: calls.append(("x", x)) or True, ["x"]))
+        assert frame.count() == sum(1 for y in ys if y > 0)
+        assert calls == expect
+
+
+def test_windows_define_evaluated_only_when_referenced(mixed_file):
+    for mode in MODES:
+        calls = []
+        unused = Frame(make_source(mixed_file, mode=mode)).define(
+            "d", lambda x: calls.append(x) or x, ["x"])
+        assert unused.sum("y") == float(sum(full_scan(mixed_file, "y")))
+        assert unused.count() == 300
+        assert calls == []
+        assert unused.sum("d") == float(sum(full_scan(mixed_file, "x")))
+        assert len(calls) == 300
+
+
+def test_bulk_frame_rejects_invalid_bool_byte(tmp_path):
+    from bulkio import FormatError
+    path = tmp_path / "bool.bkio"
+    with TreeWriter(path, [("b", ElementType.BOOL, scalar()),
+                           ("x", ElementType.F32, scalar())],
+                    basket_capacity_entries=4) as w:
+        for i in range(8):
+            w.fill(b=bool(i % 2), x=float(i))
+    with TreeFile(path) as tf:
+        offset = tf.footer.branches[0].baskets[1].file_offset
+    data = bytearray(path.read_bytes())
+    data[offset + 2] = 0x02  # entry 6
+    path.write_bytes(bytes(data))
+    frame = Frame(make_source(path, mode=SourceMode.BULK))
+    with pytest.raises(FormatError):
+        frame.filter(lambda b: b, ["b"]).count()
+    with pytest.raises(FormatError):
+        frame.filter(lambda x, b: x < 5 or b, ["x", "b"]).sum("x")
+
+
+def test_bulk_var_values_kept_by_a_define_stay_valid(var_file):
+    """Arrays handed to user functions outlive the basket they came from."""
+    kept = []
+
+    def keep(v):
+        kept.append(v)
+        return 0.0
+
+    Frame(make_source(var_file, mode=SourceMode.BULK)).define(
+        "k", keep, ["v"]).sum("k")
+    expect = full_scan(var_file, "v")
+    assert len(kept) == len(expect) == 10
+    for got, want in zip(kept, expect):
+        assert np.array_equal(got, want)
+
+
+def test_bulk_fixed_array_values(tmp_path, rng):
+    path = tmp_path / "fixed.bkio"
+    rows = rng.integers(-100, 100, size=(70, 3)).astype("i2")
+    with TreeWriter(path, [("a", ElementType.I16, fixed_array(3))],
+                    basket_capacity_entries=16) as w:
+        w.extend(a=rows)
+    for mode in MODES:
+        src = make_source(path, mode=mode, n_slots=2)
+        frame = Frame(src).define("s", lambda a: int(a.sum()) * 1.0, ["a"])
+        assert frame.sum("s") == float(rows.astype("f8").sum())
+        reader = src.reader("a", 0)
+        for i in (0, 17, 3, 69):
+            assert np.array_equal(reader.read(i), rows[i])
+
+
+# --- reader lifetime and array direct sums ---
+
+def test_actions_release_their_readers(mixed_file):
+    import gc
+    from bulkio import BranchReader
+
+    def live_readers():
+        gc.collect()
+        return sum(isinstance(o, BranchReader) for o in gc.get_objects())
+
+    for mode in MODES:
+        src = make_source(mixed_file, mode=mode)
+        frame = Frame(src)
+        before = live_readers()
+        for _ in range(50):
+            frame.sum("x")
+            direct_sum(src, "y")
+        assert live_readers() - before <= 2
+        # ten baskets per column and pass; released readers still count
+        assert src.baskets_read == 100 * 10
+        col = src.reader("x", 0)
+        col.read(40)
+        assert src.baskets_read == 100 * 10 + 1
+        del col
+        assert live_readers() - before <= 2
+        assert src.baskets_read == 100 * 10 + 1
+        src.close()
+
+
+def test_direct_sum_sums_every_array_element(tmp_path, rng):
+    path = tmp_path / "arrays.bkio"
+    fixed = rng.integers(0, 1000, size=(90, 2)).astype("f4")
+    counts = rng.integers(0, 5, size=90).astype("u4")
+    flat = rng.integers(-500, 500, size=int(counts.sum())).astype("i4")
+    with TreeWriter(path, [("a", ElementType.F32, fixed_array(2)),
+                           ("v", ElementType.I32, var_array())],
+                    basket_capacity_entries=16) as w:
+        w.extend(a=fixed, v=(flat, counts))
+    for n_slots in (1, 3):
+        src = make_source(path, mode=SourceMode.BULK, n_slots=n_slots)
+        assert direct_sum(src, "a") == float(fixed.astype("f8").sum())
+        assert direct_sum(src, "v") == float(flat.astype("f8").sum())
+        with pytest.raises(TypeMismatch):
+            direct_histogram(src, "v", 4, 0.0, 1.0)
+        with pytest.raises(TypeMismatch):
+            Frame(src).sum("v")

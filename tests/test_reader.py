@@ -17,6 +17,7 @@ from bulkio import (
     DecompressError,
     ElementType,
     EntryOutOfRange,
+    FileClosed,
     FormatError,
     IndexOutOfRange,
     NotBasketStart,
@@ -346,3 +347,29 @@ def test_equivalence_layouts(tmp_path, rng, capacity, codec):
             path = tmp_path / f"{etype.name}_{shape.kind.name}.bkio"
             write_events(path, etype, shape, events, capacity, codec)
             assert_three_way_roundtrip(path, etype, shape, events)
+
+
+def test_reads_after_close_raise_instead_of_reading_another_file(tmp_path):
+    """A closed file's descriptor number is reused by the next open."""
+    a, b = tmp_path / "a.bkio", tmp_path / "b.bkio"
+    for path, value in ((a, 1.0), (b, 2.0)):
+        with TreeWriter(path, [("x", ElementType.F32, scalar()),
+                               ("v", ElementType.F32, var_array())],
+                        basket_capacity_entries=4) as w:
+            for _ in range(10):
+                w.fill(x=value, v=[value, value])
+    tf = TreeFile(a)
+    x, v = tf.branch("x"), tf.branch("v")
+    assert x.get_entry(0) == 1.0  # basket 0 now cached
+    tf.close()
+    with TreeFile(b) as other:
+        assert other.branch("x").get_entry(0) == 2.0
+        for call in (lambda: x.get_entry(0), lambda: x.get_entry(9),
+                     lambda: v.get_entry(5),
+                     lambda: x.get_bulk_entries(0, BulkBuffer()),
+                     lambda: x.get_entries_serialized(4, BulkBuffer()),
+                     lambda: v.get_entries_serialized(0, BulkBuffer(),
+                                                      CountBuffer()),
+                     lambda: v.count_reader.get_entry(0)):
+            with pytest.raises(FileClosed):
+                call()

@@ -378,3 +378,41 @@ def test_fill_out_of_range_scalar_fails_before_any_basket_write(tmp_path):
     assert path.stat().st_size == 8  # header only: "a" was not written either
     with pytest.raises(WriterClosed):
         w.close()
+
+
+BIG = 2**63 + 1  # inferred as float64 (rounded to 2**63) next to small ints
+
+
+@pytest.mark.parametrize("shape,column,expect", [
+    (scalar(), [BIG, 1], [BIG, 1]),
+    (fixed_array(2), [[BIG, 1], [3, 2**64 - 1]], [[BIG, 1], [3, 2**64 - 1]]),
+    (var_array(), [[BIG, 1], [5]], [[BIG, 1], [5]]),
+    (var_array(), ([BIG, 1, 5], [2, 1]), [[BIG, 1], [5]]),
+])
+def test_extend_keeps_u64_sequences_exact(tmp_path, shape, column, expect):
+    path = tmp_path / "u64.bkio"
+    with TreeWriter(path, [("x", ElementType.U64, shape)]) as w:
+        w.extend(x=column)
+    with TreeFile(path) as tf:
+        rd = tf.branch("x")
+        got = [rd.get_entry(i) for i in range(rd.n_entries)]
+    if shape.kind is ShapeKind.SCALAR:
+        assert got == expect
+    else:
+        assert [g.tolist() for g in got] == expect
+
+
+@pytest.mark.parametrize("etype,shape,column", [
+    (ElementType.U64, scalar(), [2**64, 1]),
+    (ElementType.U64, scalar(), [-1, BIG]),
+    (ElementType.I64, scalar(), [2**63, 1]),
+    (ElementType.U64, fixed_array(2), [[BIG, 1], [-1, 0]]),
+    (ElementType.U64, var_array(), [[BIG, 1], [2**64]]),
+    (ElementType.U64, var_array(), ([BIG, -1], [1, 1])),
+    (ElementType.I32, scalar(), [1e20, 1]),
+])
+def test_extend_rejects_sequences_that_do_not_fit(tmp_path, etype, shape, column):
+    with TreeWriter(tmp_path / "bad.bkio", [("x", etype, shape)]) as w:
+        with pytest.raises(ShapeError):
+            w.extend(x=column)
+        assert w.n_entries == 0
