@@ -13,7 +13,7 @@ checksums (that gate comes before any timing claim):
 * ``rds-bulk``       direct source-buffer reduction, no frame dispatch
 
 Wall time covers iterating all events; readers are opened fresh for every
-repetition, outside the timed region.
+repetition and closed after it, outside the timed region.
 """
 
 from __future__ import annotations
@@ -146,6 +146,13 @@ def _user_branch(tf: TreeFile) -> str:
     raise BulkIOError("file has no user branches")
 
 
+def _closing(resource, go: Callable[[], float]) -> Callable[[], float]:
+    """``go`` carrying ``resource.close``, which :func:`run` calls once the
+    repetition is timed."""
+    go.close = resource.close
+    return go
+
+
 def _prep_get_entry(path: PathArg) -> Callable[[], float]:
     tf = TreeFile(path)
     rd = tf.branch(_user_branch(tf))
@@ -164,7 +171,7 @@ def _prep_get_entry(path: PathArg) -> Callable[[], float]:
             for entry in range(n):
                 s += float(np.sum(ge(entry), dtype=np.float64))
             return s
-    return go
+    return _closing(tf, go)
 
 
 def _prep_bulk(path: PathArg) -> Callable[[], float]:
@@ -183,7 +190,7 @@ def _prep_bulk(path: PathArg) -> Callable[[], float]:
             entry += got
         return s
 
-    return go
+    return _closing(tf, go)
 
 
 def _prep_reader(path: PathArg) -> Callable[[], float]:
@@ -211,7 +218,7 @@ def _prep_reader(path: PathArg) -> Callable[[], float]:
             while advance():
                 s += float(np.sum(deref(), dtype=np.float64))
             return s
-    return go
+    return _closing(tf, go)
 
 
 def _prep_fast_reader(path: PathArg) -> Callable[[], float]:
@@ -232,7 +239,7 @@ def _prep_fast_reader(path: PathArg) -> Callable[[], float]:
             s += float(np.sum(block(), dtype=np.float64))
         return s
 
-    return go
+    return _closing(tf, go)
 
 
 def _elem_sum(values: np.ndarray) -> float:
@@ -250,14 +257,14 @@ def _prep_rdf(path: PathArg, mode: SourceMode) -> Callable[[], float]:
         column = name
         name = f"{column}.elem_sum"
         frame = frame.define(name, _elem_sum, [column])
-    return lambda: frame.sum(name)
+    return _closing(source, lambda: frame.sum(name))
 
 
 def _prep_rds_bulk(path: PathArg) -> Callable[[], float]:
     source = make_source(path, mode=SourceMode.BULK, n_slots=1)
     with TreeFile(path) as tf:
         name = _user_branch(tf)
-    return lambda: direct_sum(source, name)
+    return _closing(source, lambda: direct_sum(source, name))
 
 
 _PREPARERS: dict[str, Callable[[PathArg], Callable[[], float]]] = {
@@ -298,9 +305,14 @@ def run(path: PathArg, scenarios: Union[str, Sequence[str]],
         prepare = _PREPARERS[scenario]
         for rep in range(repeat):
             go = prepare(path)
-            t0 = time.perf_counter()
-            checksum = go()
-            wall = time.perf_counter() - t0
+            try:
+                t0 = time.perf_counter()
+                checksum = go()
+                wall = time.perf_counter() - t0
+            finally:  # outside the timed region; a bare callable holds nothing
+                close = getattr(go, "close", None)
+                if close is not None:
+                    close()
             if checksum_seen is None:
                 checksum_seen = checksum
             elif checksum != checksum_seen:

@@ -34,7 +34,7 @@ from .errors import (
     UnknownBranch,
     UnknownColumn,
 )
-from .format import ElementType, ShapeKind
+from .format import ShapeKind
 from .reader import BranchReader, BulkBuffer, CountBuffer, TreeFile
 
 import enum
@@ -69,50 +69,37 @@ class _PerEntryColumn:
 class _BulkColumn:
     """A column's values one basket (a window) at a time, decoded once.
 
-    :meth:`load` fetches the basket with ``get_entries_serialized`` and
-    decodes all of it: scalars into a list through one ``tolist()``, arrays
-    into per-event views of one fresh native copy of the basket, so an
-    array handed out stays valid after the next load. BOOL bytes are checked
-    once per basket.
+    :meth:`load` fills the basket through the reader's basket load, which
+    checks BOOL bytes and var counts, and decodes all of it: scalars into a
+    list through one ``tolist()``, arrays into per-event views of one fresh
+    native copy of the basket, so an array handed out stays valid after the
+    next load.
     """
 
-    __slots__ = ("_rd", "_buf", "_cbuf", "_native", "_check_bool", "_kind",
-                 "_fixed_len", "first", "end", "values", "__weakref__")
+    __slots__ = ("_rd", "_buf", "_cbuf", "_native", "first", "end", "values",
+                 "__weakref__")
 
     def __init__(self, rd: BranchReader):
-        shape = rd.descriptor.shape
         self._rd = rd
         self._buf = BulkBuffer()
-        self._cbuf = CountBuffer() if shape.kind is ShapeKind.VAR_ARRAY else None
+        self._cbuf = CountBuffer() if rd.descriptor.is_array else None
         self._native = rd.element_type.np_native
-        self._check_bool = rd.element_type is ElementType.BOOL
-        self._kind = shape.kind
-        self._fixed_len = shape.fixed_len
         self.first = self.end = 0
         self.values: list = []
 
     def load(self, entry: int) -> list:
         """Decode the basket holding ``entry``; returns its per-event values."""
         rd = self._rd
-        first, _ = rd.basket_bounds(entry)
-        n = rd.get_entries_serialized(first, self._buf, self._cbuf)
-        disk = self._buf.as_array()
-        if self._check_bool and len(disk) and int(disk.max()) > 1:
-            raise FormatError(f"invalid BOOL byte in basket at entry {first} "
-                              f"of branch {rd.name!r}")
-        native = disk.astype(self._native)
-        if self._kind is ShapeKind.SCALAR:
+        idx = rd._basket_index(entry)
+        rd._load(idx, self._buf, self._cbuf)
+        native = self._buf.as_array().astype(self._native)
+        if self._cbuf is None:
             values = native.tolist()
-        elif self._kind is ShapeKind.FIXED_ARRAY:
-            values = list(native.reshape(n, self._fixed_len))
         else:
             edges = self._cbuf.offsets().tolist()
-            if edges[-1] != len(native):
-                raise FormatError(
-                    f"branch {rd.name!r}: basket at entry {first} has "
-                    f"{len(native)} elements but counts sum to {edges[-1]}")
             values = [native[lo:hi] for lo, hi in zip(edges, edges[1:])]
-        self.first, self.end, self.values = first, first + n, values
+        first = rd._firsts[idx]
+        self.first, self.end, self.values = first, first + len(values), values
         return values
 
     def read(self, entry: int):

@@ -404,6 +404,11 @@ def validate_footer(footer: FileFooter) -> None:
                 raise FormatError(
                     f"branch {br.name!r}: count branch basket boundaries differ"
                 )
+            w = br.element.width_bytes
+            if any(bk.uncompressed_size % w for bk in br.baskets):
+                raise FormatError(
+                    f"branch {br.name!r}: basket size is not whole elements"
+                )
 
 
 # --- whole-file access ---
@@ -421,7 +426,12 @@ def read_footer(file: Union[str, os.PathLike, BinaryIO]) -> FileFooter:
     if isinstance(file, (str, os.PathLike)):
         with open(file, "rb") as fobj:
             return read_footer(fobj)
-    fobj = file
+    return locate_footer(file)[0]
+
+
+def locate_footer(fobj: BinaryIO) -> tuple[FileFooter, int]:
+    """(footer, footer offset) of an open bulk file, read and checked as
+    :func:`read_footer` does. Basket payloads end where the footer begins."""
     fobj.seek(0, io.SEEK_END)
     size = fobj.tell()
     if size < HEADER_LEN + TRAILER_LEN:
@@ -439,4 +449,34 @@ def read_footer(file: Union[str, os.PathLike, BinaryIO]) -> FileFooter:
         raise FormatError(f"footer offset {footer_offset} out of bounds")
     fobj.seek(footer_offset)
     blob = fobj.read(size - TRAILER_LEN - footer_offset)
-    return footer_from_bytes(blob)
+    footer = footer_from_bytes(blob)
+    check_extents(footer, size)
+    return footer, footer_offset
+
+
+def check_extents(footer: FileFooter, file_size: int) -> None:
+    """Check where the baskets lie in a file of ``file_size`` bytes.
+
+    Baskets that start inside the header or overlap one another raise
+    FormatError. A basket that runs past the end of the file raises
+    DecompressError, as a short read of it would: the file is truncated.
+    (One that runs into the footer but not past the end is caught when it
+    is read, since a payload cut short with its footer spliced back looks
+    just like that.)
+    """
+    spans = sorted((bk.file_offset, bk.file_offset + bk.compressed_size,
+                    br.name, bk.first_entry)
+                   for br in footer.branches for bk in br.baskets)
+    end = HEADER_LEN  # where the previous basket ends
+    for lo, hi, name, first in spans:
+        if lo < end:
+            raise FormatError(
+                f"basket at entry {first} of branch {name!r} starts at byte "
+                f"{lo}, inside the header or another basket (which ends at {end})"
+            )
+        if hi > file_size:
+            raise DecompressError(
+                f"truncated basket at entry {first} of branch {name!r}: it ends "
+                f"at byte {hi}, the file at {file_size}"
+            )
+        end = hi

@@ -11,18 +11,23 @@ at a time and decodes at dereference. Proxies are valid only between two
 counter. ``next_block()`` plus ``block()`` expose the same data one basket
 at a time as lazily-decoding array views, which is how a vectorizing
 caller gets the deserialization folded into its own reduction loop.
+
+Both iterators read through the reader's one basket load, which checks
+BOOL bytes and var counts once per basket: a bad basket raises
+:class:`FormatError` at the ``get_entry`` of a plain dereference, and at
+the ``next()`` or ``next_block()`` that refills a fast iterator.
 """
 
 from __future__ import annotations
 
 from os import PathLike
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import FormatError, InvalidProxyState, TypeMismatch
 from .format import ElementType, ShapeKind
-from .reader import BranchReader, BufferState, BulkBuffer, CountBuffer, TreeFile
+from .reader import BranchReader, BulkBuffer, CountBuffer, TreeFile
 
 Source = Union[str, PathLike, TreeFile]
 
@@ -147,15 +152,24 @@ class EventReader(_EventLoop):
 
 
 class FastValueProxy:
-    """Scalar accessor over the serialized buffer of the current basket."""
+    """Scalar accessor over the serialized buffer of the current basket.
 
-    __slots__ = ("_it", "_rd", "buf", "_view", "_gen", "refill_count")
+    A refill loads the basket through the reader's checked basket load, so
+    an invalid BOOL byte raises at the ``next()``/``next_block()`` call
+    that loads its basket; BOOL values are then viewed as numpy bools.
+    """
 
-    def __init__(self, it: "FastEventReader", rd: BranchReader):
+    __slots__ = ("_it", "_rd", "buf", "count_buf", "_view", "_offsets",
+                 "_gen", "refill_count")
+
+    def __init__(self, it: "FastEventReader", rd: BranchReader,
+                 count_buf: Optional[CountBuffer] = None):
         self._it = it
         self._rd = rd
         self.buf = BulkBuffer()
+        self.count_buf = count_buf
         self._view = None
+        self._offsets = None
         self._gen = -1
         self.refill_count = 0
 
@@ -165,11 +179,15 @@ class FastValueProxy:
         return self._gen
 
     def _refill(self, entry: int, gen: int) -> int:
-        n = self._rd.get_entries_serialized(entry, self.buf)
-        self._view = self.buf.as_array()
+        rd = self._rd
+        rd._load(rd._basket_at_start(entry), self.buf, self.count_buf)
+        if self.count_buf is not None:
+            self._offsets = self.count_buf.offsets()
+        view = self.buf.as_array()
+        self._view = view.view("?") if rd.element_type is ElementType.BOOL else view
         self._gen = gen
         self.refill_count += 1
-        return n
+        return self.buf.event_count
 
     def _check_window(self) -> int:
         it = self._it
@@ -184,90 +202,37 @@ class FastValueProxy:
         return self._view.item(local)
 
     def block(self) -> np.ndarray:
-        """The current basket's values as a lazily-decoding big-endian view."""
+        """All elements of the current basket, as a lazily-decoding view."""
         it = self._it
         if self._gen != it._gen or it._block_end <= it._block_first:
             raise InvalidProxyState("no current block")
         return self._view
 
 
-class FastBoolValueProxy(FastValueProxy):
-    __slots__ = ()
-
-    def deref(self):
-        local = self._check_window()
-        b = self._view.item(local)
-        if b > 1:
-            raise FormatError(f"invalid BOOL byte 0x{b:02X}")
-        return bool(b)
-
-
-class FastArrayProxy:
+class FastArrayProxy(FastValueProxy):
     """Array accessor decoding one event's slice at dereference time."""
 
-    __slots__ = ("_it", "_rd", "buf", "count_buf", "_view", "_offsets",
-                 "_native", "_gen", "refill_count", "_fixed_len")
+    __slots__ = ("_native", "_fixed_len")
 
     def __init__(self, it: "FastEventReader", rd: BranchReader):
-        self._it = it
-        self._rd = rd
-        self.buf = BulkBuffer()
-        self.count_buf = CountBuffer()
-        self._view = None
-        self._offsets = None
+        super().__init__(it, rd, CountBuffer())
         self._native = rd.element_type.np_native
-        self._gen = -1
-        self.refill_count = 0
         shape = rd.descriptor.shape
         self._fixed_len = shape.fixed_len if shape.kind is ShapeKind.FIXED_ARRAY else -1
-
-    @property
-    def generation(self) -> int:
-        return self._gen
-
-    def _refill(self, entry: int, gen: int) -> int:
-        n = self._rd.get_entries_serialized(entry, self.buf, self.count_buf)
-        self._view = self.buf.as_array()
-        self._offsets = self.count_buf.offsets()
-        self._gen = gen
-        self.refill_count += 1
-        return n
-
-    def _check_window(self) -> int:
-        it = self._it
-        c = it._cursor
-        if c < it._block_first or c >= it._block_end or self._gen != it._gen:
-            raise InvalidProxyState("iterator not positioned on a valid entry")
-        return c - it._block_first
 
     def deref(self) -> np.ndarray:
         local = self._check_window()
         offs = self._offsets
-        start = int(offs[local])
-        out = self._view[start:int(offs[local + 1])]
-        if self._rd.element_type is ElementType.BOOL:
-            if len(out) and int(out.max()) > 1:
-                raise FormatError("invalid BOOL byte")
-            return out.astype("bool")
-        return out.astype(self._native)
+        return self._view[int(offs[local]):int(offs[local + 1])].astype(self._native)
 
     def __len__(self) -> int:
         if self._fixed_len >= 0:
             return self._fixed_len
-        return int(self.count_buf[self._check_window()])
-
-    def block(self) -> np.ndarray:
-        """All elements of the current basket, serialized view."""
-        it = self._it
-        if self._gen != it._gen or it._block_end <= it._block_first:
-            raise InvalidProxyState("no current block")
-        return self._view
+        return self.count_buf[self._check_window()]
 
     def block_counts(self) -> np.ndarray:
         """Per-event element counts for the current basket."""
-        it = self._it
-        if self._gen != it._gen or it._block_end <= it._block_first:
-            raise InvalidProxyState("no current block")
+        self.block()  # raises without a current block
         return self.count_buf.counts
 
 
@@ -299,12 +264,7 @@ class FastEventReader(_EventLoop):
                 f"branch {name!r} has different basket boundaries than the "
                 f"other attached branches"
             )
-        if want_array:
-            proxy = FastArrayProxy(self, rd)
-        elif etype is ElementType.BOOL:
-            proxy = FastBoolValueProxy(self, rd)
-        else:
-            proxy = FastValueProxy(self, rd)
+        proxy = (FastArrayProxy if want_array else FastValueProxy)(self, rd)
         self._proxies.append(proxy)
         return proxy
 
@@ -317,10 +277,11 @@ class FastEventReader(_EventLoop):
     def _refill(self, entry: int) -> int:
         gen = self._gen + 1
         self._gen = gen
+        # the block stays empty until every proxy is refilled
+        self._block_first = self._block_end = entry
         n = 0
         for p in self._proxies:
             n = p._refill(entry, gen)
-        self._block_first = entry
         self._block_end = entry + n
         return n
 

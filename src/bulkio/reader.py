@@ -1,10 +1,17 @@
 """Branch-level read paths: per-entry, bulk-deserialized, bulk-serialized.
 
 A :class:`BranchReader` resolves entries to baskets and keeps a one-basket
-decompression cache for per-entry access. The two bulk calls hand a whole
-basket to a caller-owned :class:`BulkBuffer`, either deserialized to native
-layout or byte-for-byte in on-disk order; var-array baskets additionally
-fill a :class:`CountBuffer` with per-event element counts.
+cache for per-entry access. The two bulk calls hand a whole basket to a
+caller-owned :class:`BulkBuffer`, either deserialized to native layout or
+byte-for-byte in on-disk order; var-array baskets additionally fill a
+:class:`CountBuffer` with per-event element counts.
+
+Every read in the library, here and in the iterator and dataframe layers,
+goes through one basket load (``BranchReader._load``). It checks a BOOL
+basket's bytes once, for every caller except ``get_entries_serialized``,
+which hands raw bytes out. It also turns the counts into per-event element
+offsets, and raises :class:`FormatError` when a var basket's counts do not
+add up to its payload.
 
 Readers use offset-addressed reads (``os.pread``), so any number of
 BranchReaders may share one open :class:`TreeFile`, including from
@@ -43,11 +50,16 @@ from .format import (
     ShapeKind,
     decode_element,
     decompress_payload,
-    read_footer,
+    locate_footer,
 )
+
 
 _NATIVE_STRUCTS = {t: struct.Struct("=" + t.struct_char) for t in ElementType}
 _DISK_STRUCTS = {t: struct.Struct(">" + t.struct_char) for t in ElementType}
+# BOOL decodes through "?", any nonzero byte as True: the basket load checks
+# a BOOL basket's bytes before anything decodes them
+_NATIVE_STRUCTS[ElementType.BOOL] = struct.Struct("=?")
+_DISK_STRUCTS[ElementType.BOOL] = struct.Struct(">?")
 
 
 class BufferState(enum.Enum):
@@ -61,7 +73,8 @@ class BulkBuffer:
     The storage grows as needed and is never shrunk, so a buffer reused
     across baskets allocates only on the largest basket seen. Array views
     handed out by :meth:`as_array` alias the storage and are invalidated
-    (their contents overwritten) by the next fill.
+    (their contents overwritten) by the next fill. A fill that fails
+    leaves the buffer unfilled.
     """
 
     __slots__ = ("_mem", "_nbytes", "state", "element_type",
@@ -80,8 +93,9 @@ class BulkBuffer:
         """Number of valid payload bytes currently held."""
         return self._nbytes
 
-    def _prepare(self, nbytes: int, etype: ElementType, state: BufferState,
-                 event_count: int, element_count: int) -> np.ndarray:
+    def _prepare(self, nbytes: int, etype: Optional[ElementType],
+                 state: Optional[BufferState], event_count: int,
+                 element_count: int) -> np.ndarray:
         if len(self._mem) < nbytes:
             self._mem = np.empty(nbytes, dtype="u1")
         self._nbytes = nbytes
@@ -107,8 +121,9 @@ class BulkBuffer:
     def value_at(self, etype: ElementType, idx: int):
         """Decode the idx-th element, interpreting the bytes as ``etype``.
 
-        Deserialized buffers load native-layout elements directly; serialized
-        buffers decode one big-endian element per call, with no caching.
+        Deserialized buffers load native-layout elements directly (their
+        BOOL bytes were checked when filled); serialized buffers decode one
+        big-endian element per call, with no caching.
         """
         w = etype.width_bytes
         off = idx * w
@@ -118,11 +133,6 @@ class BulkBuffer:
             )
         if self.state is BufferState.SERIALIZED:
             return decode_element(self._mem[off:off + w].tobytes(), etype)
-        if etype is ElementType.BOOL:
-            b = int(self._mem[off])
-            if b > 1:
-                raise FormatError(f"invalid BOOL byte 0x{b:02X}")
-            return bool(b)
         return _NATIVE_STRUCTS[etype].unpack_from(self._mem.data, off)[0]
 
     def to_bytes(self) -> bytes:
@@ -171,11 +181,12 @@ class CountBuffer:
 class _OpenFile:
     """A TreeFile's descriptor, shared by its readers; -1 once closed."""
 
-    __slots__ = ("fobj", "fd", "cached")
+    __slots__ = ("fobj", "fd", "payload_end", "cached")
 
-    def __init__(self, fobj):
+    def __init__(self, fobj, payload_end: int):
         self.fobj = fobj  # keeps the file open as long as any reader lives
         self.fd = fobj.fileno()
+        self.payload_end = payload_end  # where the footer begins
         # readers holding a per-entry basket, which must not outlive close
         self.cached: "weakref.WeakSet[BranchReader]" = weakref.WeakSet()
 
@@ -188,24 +199,33 @@ class _OpenFile:
 
 
 class BranchReader:
-    """Reads one branch of an open tree file. Not thread-safe; cheap to make."""
+    """Reads one branch of an open tree file. Not thread-safe; cheap to make.
 
-    __slots__ = ("_file", "_desc", "_etype", "_width", "_baskets",
+    ``get_entry`` returns a scalar here; array branches get a subclass whose
+    ``get_entry`` returns a fresh native array.
+    """
+
+    __slots__ = ("_file", "_desc", "_etype", "_width", "_k", "_baskets",
                  "_firsts", "_n_entries", "_ck_first", "_ck_end", "_ck_payload",
-                 "_ck_index", "_baskets_read", "_unpack_from", "__weakref__")
+                 "_ck_buf", "_ck_counts", "_baskets_read", "_unpack_from",
+                 "__weakref__")
 
     def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
         self._file = file
         self._desc = descriptor
         self._etype = descriptor.element
         self._width = descriptor.element.width_bytes
+        shape = descriptor.shape
+        # elements per event, except for var arrays (counted per basket)
+        self._k = shape.fixed_len if shape.kind is ShapeKind.FIXED_ARRAY else 1
         self._baskets = descriptor.baskets
         self._firsts = [b.first_entry for b in descriptor.baskets]
         self._n_entries = descriptor.n_entries
         self._ck_first = 0
         self._ck_end = 0
         self._ck_payload = b""
-        self._ck_index = -1
+        self._ck_buf = BulkBuffer()
+        self._ck_counts: Optional[CountBuffer] = None
         self._baskets_read = 0
         self._unpack_from = _DISK_STRUCTS[self._etype].unpack_from
 
@@ -259,119 +279,127 @@ class BranchReader:
 
     def _drop_cache(self) -> None:
         self._ck_first = self._ck_end = 0  # every entry misses the cache
-        self._ck_payload = b""
-        self._ck_index = -1
 
-    def _open_fd(self) -> int:
+    def _open_fd(self, bk: BasketDescriptor) -> int:
+        """The descriptor to read ``bk`` from, once it is known to lie in the
+        payload region; one running into the footer was cut short."""
         fd = self._file.fd
         if fd < 0:
             raise FileClosed(f"branch {self._desc.name!r}: its file is closed")
-        return fd
-
-    def _fetch(self, bk: BasketDescriptor) -> bytes:
-        raw = os.pread(self._open_fd(), bk.compressed_size, bk.file_offset)
-        if len(raw) != bk.compressed_size:
+        if bk.file_offset + bk.compressed_size > self._file.payload_end:
             raise DecompressError(
                 f"truncated basket at entry {bk.first_entry} of branch "
-                f"{self._desc.name!r}: read {len(raw)} of {bk.compressed_size} bytes"
+                f"{self._desc.name!r}: it runs into the footer at byte "
+                f"{self._file.payload_end}"
+            )
+        return fd
+
+    def _got(self, bk: BasketDescriptor, nbytes: int) -> None:
+        """Count a basket read of ``nbytes``; a short read means truncation."""
+        if nbytes != bk.compressed_size:
+            raise DecompressError(
+                f"truncated basket at entry {bk.first_entry} of branch "
+                f"{self._desc.name!r}: read {nbytes} of {bk.compressed_size} bytes"
             )
         self._baskets_read += 1
+
+    def _fetch(self, bk: BasketDescriptor) -> bytes:
+        raw = os.pread(self._open_fd(bk), bk.compressed_size, bk.file_offset)
+        self._got(bk, len(raw))
         return decompress_payload(raw, bk.codec, bk.uncompressed_size)
 
-    def _load_basket(self, idx: int) -> None:
+    def _load(self, idx: int, buf: BulkBuffer, counts: Optional[CountBuffer] = None,
+              state: BufferState = BufferState.SERIALIZED,
+              check_bool: bool = True) -> None:
+        """Fill ``buf`` with basket ``idx``: the one basket load of every read.
+
+        It checks a BOOL basket's bytes, unless ``check_bool`` is false.
+        Given ``counts``, it fills them with the basket's per-event element
+        counts, whose ``offsets()`` index its events: computed for scalars
+        and fixed arrays, read from the count basket for var arrays, where
+        counts that do not add up to the payload raise FormatError. A failed
+        load leaves ``buf`` unfilled.
+        """
         bk = self._baskets[idx]
-        payload = self._fetch(bk)
-        self._after_load(payload)
-        self._ck_payload = payload
-        self._ck_first = bk.first_entry
-        self._ck_end = bk.first_entry + bk.n_entries
-        self._ck_index = idx
-        self._file.cached.add(self)
-
-    def _after_load(self, payload: bytes) -> None:
-        """Per-shape hook (bool validation, var-array offsets)."""
-
-    def _seek_entry(self, entry: int) -> None:
-        self._load_basket(self._basket_index(entry))
+        etype = self._etype
+        nbytes = bk.uncompressed_size
+        swap = state is BufferState.DESERIALIZED and self._width > 1
+        try:
+            # a compressed basket is inflated before the buffer is sized, so a
+            # recorded size its stream does not reach allocates nothing
+            payload = None if bk.codec is Codec.NONE else self._fetch(bk)
+            mem = buf._prepare(nbytes, etype, state, bk.n_entries,
+                               nbytes // self._width)
+            if payload is None:
+                fd = self._open_fd(bk)
+                self._got(bk, os.preadv(fd, [mem], bk.file_offset) if nbytes else 0)
+                if swap:
+                    mem.view(etype.np_disk).byteswap(inplace=True)
+            elif swap:
+                mem.view(etype.np_native)[:] = np.frombuffer(payload,
+                                                             dtype=etype.np_disk)
+            else:  # 1-byte types copy verbatim, so the BOOL check sees raw bytes
+                mem[:] = np.frombuffer(payload, dtype="u1")
+            if (check_bool and etype is ElementType.BOOL and nbytes
+                    and int(mem.max()) > 1):
+                raise FormatError(f"invalid BOOL byte in basket at entry "
+                                  f"{bk.first_entry} of branch {self._desc.name!r}")
+            if counts is None:
+                return
+            if self._desc.shape.kind is ShapeKind.VAR_ARRAY:
+                cr = self.count_reader
+                counts._set(np.frombuffer(cr._fetch(cr._baskets[idx]), dtype=">u4"))
+            else:
+                counts._set(np.full(bk.n_entries, self._k, dtype="u4"))
+            total = counts.total()
+            if total * self._width != nbytes:
+                raise FormatError(
+                    f"branch {self._desc.name!r}: basket at entry {bk.first_entry} "
+                    f"has {nbytes} payload bytes but counts sum to {total} elements"
+                )
+        except BaseException:
+            buf._prepare(0, None, None, 0, 0)
+            raise
 
     # --- bulk reads ---
-
-    def _fill_buffer(self, bk: BasketDescriptor, buf: BulkBuffer,
-                     state: BufferState) -> None:
-        fd = self._open_fd()
-        nbytes = bk.uncompressed_size
-        mem = buf._prepare(nbytes, self._etype, state, bk.n_entries,
-                           nbytes // self._width)
-        if bk.codec is Codec.NONE:
-            got = os.preadv(fd, [mem], bk.file_offset) if nbytes else 0
-            if got != nbytes:
-                raise DecompressError(
-                    f"truncated basket at entry {bk.first_entry} of branch "
-                    f"{self._desc.name!r}: read {got} of {nbytes} bytes"
-                )
-            self._baskets_read += 1
-            if state is BufferState.DESERIALIZED and self._width > 1:
-                mem.view(self._etype.np_disk).byteswap(inplace=True)
-        else:
-            payload = self._fetch(bk)
-            if state is BufferState.DESERIALIZED and self._width > 1:
-                mem.view(self._etype.np_native)[:] = np.frombuffer(
-                    payload, dtype=self._etype.np_disk)
-            else:
-                # 1-byte types copy verbatim so BOOL validation sees raw bytes
-                mem[:] = np.frombuffer(payload, dtype="u1")
-        if state is BufferState.DESERIALIZED and self._etype is ElementType.BOOL:
-            if nbytes and int(mem.max()) > 1:
-                raise FormatError(
-                    f"invalid BOOL byte in basket at entry {bk.first_entry}"
-                )
 
     def get_bulk_entries(self, entry: int, user_buf: BulkBuffer) -> int:
         """Copy the basket starting at ``entry`` into ``user_buf``, deserialized.
 
         ``entry`` must be a basket start; returns the basket's event count.
         """
-        idx = self._basket_at_start(entry)
-        bk = self._baskets[idx]
-        self._fill_buffer(bk, user_buf, BufferState.DESERIALIZED)
-        return bk.n_entries
+        self._load(self._basket_at_start(entry), user_buf,
+                   state=BufferState.DESERIALIZED)
+        return user_buf.event_count
 
     def get_entries_serialized(self, entry: int, user_buf: BulkBuffer,
                                count_buf: Optional[CountBuffer] = None) -> int:
         """Copy the basket starting at ``entry`` byte-for-byte (on-disk order).
 
         Var-array branches require ``count_buf``, which receives the
-        per-event element counts; other shapes fill it if provided.
-        Returns the basket's event count.
+        per-event element counts; other shapes fill it if provided. BOOL
+        bytes are handed out unchecked. Returns the basket's event count.
         """
         idx = self._basket_at_start(entry)
-        bk = self._baskets[idx]
         if self._desc.shape.kind is ShapeKind.VAR_ARRAY and count_buf is None:
             raise CountBufferRequired(
                 f"branch {self._desc.name!r} is a var array; pass a CountBuffer"
             )
-        self._fill_buffer(bk, user_buf, BufferState.SERIALIZED)
-        if count_buf is not None:
-            count_buf._set(self._basket_counts(idx))
-        return bk.n_entries
+        self._load(idx, user_buf, count_buf, check_bool=False)
+        return user_buf.event_count
 
-    def _basket_counts(self, idx: int) -> np.ndarray:
-        """Native per-event element counts for basket ``idx``."""
+    # --- per-entry read ---
+
+    def _seek_entry(self, entry: int) -> None:
+        """Load the basket holding ``entry`` as the per-entry window."""
+        self._drop_cache()  # a failed load leaves no window behind
+        idx = self._basket_index(entry)
+        self._load(idx, self._ck_buf, self._ck_counts)
         bk = self._baskets[idx]
-        if self._desc.shape.kind is ShapeKind.SCALAR:
-            return np.ones(bk.n_entries, dtype="u4")
-        if self._desc.shape.kind is ShapeKind.FIXED_ARRAY:
-            return np.full(bk.n_entries, self._desc.shape.fixed_len, dtype="u4")
-        raise AssertionError  # var subclass overrides
-
-    # --- per-entry read; shape subclasses inline the decode ---
-
-    def get_entry(self, entry: int):
-        raise NotImplementedError
-
-
-class _ScalarReader(BranchReader):
-    __slots__ = ()
+        self._ck_payload = self._ck_buf._mem.data
+        self._ck_first = bk.first_entry
+        self._ck_end = bk.first_entry + bk.n_entries
+        self._file.cached.add(self)
 
     def get_entry(self, entry: int):
         first = self._ck_first
@@ -381,79 +409,25 @@ class _ScalarReader(BranchReader):
         return self._unpack_from(self._ck_payload, (entry - first) * self._width)[0]
 
 
-class _BoolScalarReader(_ScalarReader):
-    __slots__ = ()
+class _ArrayReader(BranchReader):
+    """Fixed and var arrays: ``get_entry`` slices the basket by its offsets."""
 
-    def _after_load(self, payload: bytes) -> None:
-        if payload and max(payload) > 1:
-            raise FormatError(
-                f"invalid BOOL byte in branch {self._desc.name!r}"
-            )
-
-    def get_entry(self, entry: int):
-        first = self._ck_first
-        if entry < first or entry >= self._ck_end:
-            self._seek_entry(entry)
-            first = self._ck_first
-        return bool(self._ck_payload[entry - first])
-
-
-class _FixedReader(BranchReader):
-    __slots__ = ("_k",)
-
-    def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
-        super().__init__(file, descriptor)
-        self._k = descriptor.shape.fixed_len
-
-    def _after_load(self, payload: bytes) -> None:
-        if self._etype is ElementType.BOOL and payload and max(payload) > 1:
-            raise FormatError(f"invalid BOOL byte in branch {self._desc.name!r}")
-
-    def get_entry(self, entry: int) -> np.ndarray:
-        first = self._ck_first
-        if entry < first or entry >= self._ck_end:
-            self._seek_entry(entry)
-            first = self._ck_first
-        k = self._k
-        arr = np.frombuffer(self._ck_payload, dtype=self._etype.np_disk,
-                            count=k, offset=(entry - first) * k * self._width)
-        return arr.astype(self._etype.np_native)
-
-
-class _VarReader(BranchReader):
-    __slots__ = ("_count_reader", "_ck_offsets")
+    __slots__ = ("count_reader", "_ck_view", "_ck_offsets", "_native")
 
     def __init__(self, file: _OpenFile, descriptor: BranchDescriptor,
-                 count_descriptor: BranchDescriptor):
+                 count_descriptor: Optional[BranchDescriptor] = None):
         super().__init__(file, descriptor)
-        self._count_reader = _ScalarReader(file, count_descriptor)
-        self._ck_offsets = None
+        self._ck_counts = CountBuffer()
+        self._ck_view = None
+        self._ck_offsets: list[int] = []
+        self._native = descriptor.element.np_native
+        if count_descriptor is not None:  # var arrays: their u32 count branch
+            self.count_reader = BranchReader(file, count_descriptor)
 
-    @property
-    def count_reader(self) -> BranchReader:
-        """Reader over the companion u32 count branch."""
-        return self._count_reader
-
-    def _basket_counts(self, idx: int) -> np.ndarray:
-        payload = self._count_reader._fetch(self._count_reader._baskets[idx])
-        return np.frombuffer(payload, dtype=">u4").astype("u4")
-
-    def _after_load(self, payload: bytes) -> None:
-        if self._etype is ElementType.BOOL and payload and max(payload) > 1:
-            raise FormatError(f"invalid BOOL byte in branch {self._desc.name!r}")
-
-    def _load_basket(self, idx: int) -> None:
-        super()._load_basket(idx)
-        counts = self._basket_counts(idx)
-        offsets = np.zeros(len(counts) + 1, dtype="i8")
-        np.cumsum(counts, out=offsets[1:])
-        if offsets[-1] * self._width != len(self._ck_payload):
-            raise FormatError(
-                f"branch {self._desc.name!r}: basket at entry {self._ck_first} "
-                f"has {len(self._ck_payload)} payload bytes but counts sum to "
-                f"{int(offsets[-1])} elements"
-            )
-        self._ck_offsets = offsets
+    def _seek_entry(self, entry: int) -> None:
+        super()._seek_entry(entry)
+        self._ck_offsets = self._ck_counts.offsets().tolist()
+        self._ck_view = self._ck_buf.as_array()
 
     def get_entry(self, entry: int) -> np.ndarray:
         first = self._ck_first
@@ -462,23 +436,17 @@ class _VarReader(BranchReader):
             first = self._ck_first
         offs = self._ck_offsets
         local = entry - first
-        start = offs[local]
-        arr = np.frombuffer(self._ck_payload, dtype=self._etype.np_disk,
-                            count=int(offs[local + 1] - start),
-                            offset=int(start) * self._width)
-        return arr.astype(self._etype.np_native)
+        return self._ck_view[offs[local]:offs[local + 1]].astype(self._native)
 
 
 def _make_reader(file: _OpenFile, footer: FileFooter, index: int) -> BranchReader:
     desc = footer.branches[index]
     kind = desc.shape.kind
     if kind is ShapeKind.SCALAR:
-        if desc.element is ElementType.BOOL:
-            return _BoolScalarReader(file, desc)
-        return _ScalarReader(file, desc)
-    if kind is ShapeKind.FIXED_ARRAY:
-        return _FixedReader(file, desc)
-    return _VarReader(file, desc, footer.branches[desc.shape.count_branch])
+        return BranchReader(file, desc)
+    count = (footer.branches[desc.shape.count_branch]
+             if kind is ShapeKind.VAR_ARRAY else None)
+    return _ArrayReader(file, desc, count)
 
 
 class TreeFile:
@@ -487,12 +455,12 @@ class TreeFile:
     def __init__(self, path: Union[str, PathLike]):
         self._fobj = open(path, "rb")
         try:
-            self.footer = read_footer(self._fobj)
+            self.footer, payload_end = locate_footer(self._fobj)
         except Exception:
             self._fobj.close()
             raise
         self.path = os.fspath(path)
-        self._file = _OpenFile(self._fobj)
+        self._file = _OpenFile(self._fobj, payload_end)
 
     @property
     def n_entries(self) -> int:

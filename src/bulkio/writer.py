@@ -38,6 +38,7 @@ from .format import (
 DEFAULT_BASKET_CAPACITY = 8192
 
 _U64 = struct.Struct(">Q")
+_PY_NUMBERS = frozenset((int, float, bool))
 
 SchemaEntry = tuple[str, ElementType, BranchShape]
 
@@ -94,7 +95,7 @@ class _Branch:
         if arr.dtype.kind not in "fO" or self.disk.kind not in "iu":
             return arr
         exact = self.owned(values)
-        self.check_range(arr)  # numpy scalars and arrays it casts unchecked
+        self.check_range(arr)  # arrays in the sequence, which it casts unchecked
         return exact
 
     def owned(self, values) -> np.ndarray:
@@ -102,6 +103,9 @@ class _Branch:
         if isinstance(values, np.ndarray):
             self.check_range(values)
             return values.astype(self.disk)
+        # numpy casts numpy scalars unchecked, so those become Python numbers
+        if self.disk.kind in "iu" and not set(map(type, values)) <= _PY_NUMBERS:
+            values = [v.item() if isinstance(v, np.generic) else v for v in values]
         try:  # numpy converts each Python number exactly, or raises
             return np.array(values, dtype=self.disk)
         except (OverflowError, TypeError, ValueError) as exc:

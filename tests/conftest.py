@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from bulkio import (
     scalar,
     var_array,
 )
+from bulkio.format import footer_from_bytes, footer_to_bytes
 
 ALL_TYPES = list(ElementType)
 
@@ -106,6 +109,18 @@ def assert_three_way_roundtrip(path, etype: ElementType, shape: BranchShape,
                     assert np.array_equal(lazy, np.asarray(expect))
             entry += got
         assert entry == rd.n_entries
+
+
+def rewrite_basket(src, out, branch: int, basket: int, **fields):
+    """Copy of bulk file ``src`` at ``out`` whose footer changes the given
+    fields of one basket descriptor; payload and footer offset unchanged."""
+    data = src.read_bytes()
+    offset = int.from_bytes(data[-8:], "big")
+    footer = footer_from_bytes(data[offset:-8])
+    baskets = footer.branches[branch].baskets
+    baskets[basket] = dataclasses.replace(baskets[basket], **fields)
+    out.write_bytes(data[:offset] + footer_to_bytes(footer) + data[-8:])
+    return out
 
 
 @pytest.fixture

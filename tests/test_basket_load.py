@@ -1,0 +1,226 @@
+"""basket load: the BOOL-byte and var-count checks every read path shares."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import bulkio.bench as bench
+from bulkio import (
+    BulkBuffer,
+    Codec,
+    CountBuffer,
+    DecompressError,
+    ElementType,
+    EventReader,
+    FastEventReader,
+    FormatError,
+    Frame,
+    IndexOutOfRange,
+    InvalidProxyState,
+    ShapeKind,
+    SourceMode,
+    TreeFile,
+    TreeWriter,
+    direct_sum,
+    fixed_array,
+    make_source,
+    scalar,
+    var_array,
+)
+
+from conftest import rewrite_basket
+
+
+def _patch(path, branch: str, basket: int, at: int, value: int) -> None:
+    """Overwrite one byte of a basket's payload (codec none)."""
+    with TreeFile(path) as tf:
+        desc = tf.footer.branches[tf.footer.branch_index(branch)]
+        offset = desc.baskets[basket].file_offset + at
+    data = bytearray(path.read_bytes())
+    data[offset] = value
+    path.write_bytes(bytes(data))
+
+
+@pytest.fixture
+def raised_count_file(tmp_path):
+    """Codec-none I32 var file, capacity 4, whose first count was raised
+    from 1 to 2: basket 0 holds 6 elements but its counts sum to 7."""
+    path = tmp_path / "counts.bkio"
+    with TreeWriter(path, [("v", ElementType.I32, var_array())],
+                    basket_capacity_entries=4) as w:
+        for row in ([1], [2, 3], [], [7, 8, 9], [4], [5, 6]):
+            w.fill(v=row)
+    _patch(path, "v.count", 0, 3, 2)  # low byte of the big-endian u32
+    return path
+
+
+def test_count_mismatch_raises_on_every_path(raised_count_file):
+    path = raised_count_file
+    with TreeFile(path) as tf:
+        rd = tf.branch("v")
+        assert rd.count_reader.get_entry(0) == 2
+        with pytest.raises(FormatError):
+            rd.get_entries_serialized(0, BulkBuffer(), CountBuffer())
+        with pytest.raises(FormatError):
+            rd.get_entry(3)
+        # the intact basket still reads
+        assert rd.get_entries_serialized(4, BulkBuffer(), CountBuffer()) == 2
+        assert rd.get_entry(5).tolist() == [5, 6]
+    for step in ("next", "next_block"):
+        with FastEventReader(path) as events:
+            v = events.attach_array("v", ElementType.I32)
+            with pytest.raises(FormatError):
+                getattr(events, step)()
+            with pytest.raises(InvalidProxyState):
+                v.deref()
+    with make_source(path, mode=SourceMode.BULK) as src:
+        with pytest.raises(FormatError):
+            direct_sum(src, "v")
+    for mode in (SourceMode.PER_ENTRY, SourceMode.BULK):
+        with make_source(path, mode=mode) as src:
+            frame = Frame(src).define("s", lambda a: float(a.sum()), ["v"])
+            with pytest.raises(FormatError):
+                frame.sum("s")
+
+
+def _bool_file(tmp_path, shape):
+    """BOOL branch ``b`` of 8 events, capacity 4, with 0x02 in basket 1."""
+    path = tmp_path / "bools.bkio"
+    with TreeWriter(path, [("b", ElementType.BOOL, shape)],
+                    basket_capacity_entries=4) as w:
+        for i in range(8):
+            value = bool(i % 2)
+            w.fill(b=value if shape.kind is ShapeKind.SCALAR else [value, True])
+    _patch(path, "b", 1, 0, 0x02)
+    return path
+
+
+@pytest.mark.parametrize("shape", [scalar(), fixed_array(2), var_array()],
+                         ids=["scalar", "fixed", "var"])
+def test_invalid_bool_byte_through_the_event_readers(tmp_path, shape):
+    path = _bool_file(tmp_path, shape)
+    is_array = shape.kind is not ShapeKind.SCALAR
+
+    def attach(events):
+        if is_array:
+            return events.attach_array("b", ElementType.BOOL)
+        return events.attach_value("b", ElementType.BOOL)
+
+    def first_basket(proxy, events):
+        for i in range(4):
+            assert events.next()
+            got = proxy.deref()
+            if is_array:
+                assert got.dtype == np.bool_
+                assert got.tolist() == [bool(i % 2), True]
+            else:
+                assert got is bool(i % 2)
+
+    # plain: the dereference whose get_entry loads the bad basket raises
+    with EventReader(path) as events:
+        b = attach(events)
+        first_basket(b, events)
+        assert events.next()
+        with pytest.raises(FormatError):
+            b.deref()
+    # fast: the next() that refills with the bad basket raises
+    with FastEventReader(path) as events:
+        b = attach(events)
+        first_basket(b, events)
+        with pytest.raises(FormatError):
+            events.next()
+        with pytest.raises(InvalidProxyState):
+            b.deref()
+    # ... and so does next_block()
+    with FastEventReader(path) as events:
+        b = attach(events)
+        assert events.next_block() == 4
+        assert b.block().dtype == np.bool_
+        with pytest.raises(FormatError):
+            events.next_block()
+        with pytest.raises(InvalidProxyState):
+            b.block()
+
+
+def test_failed_refill_leaves_no_block_behind(tmp_path):
+    """A proxy refilled before another proxy's basket fails to load must not
+    serve the new basket for the old entries."""
+    path = tmp_path / "two.bkio"
+    with TreeWriter(path, [("x", ElementType.F32, scalar()),
+                           ("b", ElementType.BOOL, scalar())],
+                    basket_capacity_entries=4) as w:
+        for i in range(8):
+            w.fill(x=float(i), b=True)
+    _patch(path, "b", 1, 0, 0x02)
+    with FastEventReader(path) as events:
+        x = events.attach_value("x", ElementType.F32)
+        events.attach_value("b", ElementType.BOOL)
+        assert events.next_block() == 4
+        with pytest.raises(FormatError):
+            events.next_block()
+        with pytest.raises(InvalidProxyState):
+            x.block()
+        with pytest.raises(FormatError):  # the same basket fails again
+            events.next_block()
+
+
+def test_failed_load_leaves_no_basket_behind(tmp_path):
+    path = _bool_file(tmp_path, scalar())
+    with TreeFile(path) as tf:
+        rd = tf.branch("b")
+        assert rd.get_entry(0) is False
+        with pytest.raises(FormatError):
+            rd.get_entry(4)
+        assert rd.get_entry(0) is False  # basket 0 again, not basket 1's bytes
+        buf = BulkBuffer()
+        assert rd.get_bulk_entries(0, buf) == 4
+        assert buf.value_at(ElementType.BOOL, 1) is True
+        with pytest.raises(FormatError):
+            rd.get_bulk_entries(4, buf)
+        assert buf.nbytes == 0
+        with pytest.raises(IndexOutOfRange):
+            buf.value_at(ElementType.BOOL, 0)
+        with pytest.raises(IndexOutOfRange):
+            buf.as_array()
+
+
+def test_recorded_size_past_the_stream_allocates_nothing(tmp_path):
+    """A deflate basket that claims 16 TiB inflates to its real size first:
+    every read raises DecompressError instead of trying to allocate 16 TiB."""
+    src = tmp_path / "vd.bkio"
+    with TreeWriter(src, [("v", ElementType.I32, var_array())],
+                    basket_capacity_entries=4, codec=Codec.DEFLATE) as w:
+        for i in range(8):
+            w.fill(v=[i, i])
+    bad = rewrite_basket(src, tmp_path / "huge.bkio", 0, 0,
+                         uncompressed_size=2**44)
+    with TreeFile(bad) as tf:
+        rd = tf.branch("v")
+        for read in (lambda: rd.get_entry(0),
+                     lambda: rd.get_bulk_entries(0, BulkBuffer()),
+                     lambda: rd.get_entries_serialized(0, BulkBuffer(),
+                                                       CountBuffer())):
+            with pytest.raises(DecompressError):
+                read()
+    report = bench.verify(bad)
+    assert not report.passed
+    assert any("DecompressError" in f for f in report.failures)
+
+
+def test_basket_running_into_the_footer_is_truncated(tmp_path, ramp_file):
+    """A codec-none basket pointed into the footer opens (a payload cut
+    short with its footer spliced back looks the same) but never reads
+    footer bytes as values."""
+    footer_offset = int.from_bytes(ramp_file.read_bytes()[-8:], "big")
+    bad = rewrite_basket(ramp_file, tmp_path / "into_footer.bkio", 0, 3,
+                         file_offset=footer_offset)
+    with TreeFile(bad) as tf:
+        rd = tf.branch("x")
+        assert rd.get_entry(95) == 95.0
+        for read in (lambda: rd.get_entry(96),
+                     lambda: rd.get_bulk_entries(96, BulkBuffer()),
+                     lambda: rd.get_entries_serialized(96, BulkBuffer())):
+            with pytest.raises(DecompressError):
+                read()
+    assert not bench.verify(bad).passed

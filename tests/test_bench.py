@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -18,6 +22,8 @@ from bulkio import (
     var_array,
 )
 from bulkio.cli import main as cli_main
+
+from conftest import rewrite_basket
 
 ALL_SCENARIOS = list(bench.SCENARIOS)
 
@@ -158,6 +164,18 @@ def test_report_six_significant_digits(tmp_path):
     fields = out.read_text().splitlines()[1].split(",")
     assert fields[5] == "0.123457"
     assert fields[6] == "81"
+
+
+def test_run_closes_what_each_scenario_opens(bench_file, monkeypatch):
+    """No file is left for the garbage collector to close: its
+    ResourceWarning, made an error, would reach the unraisable hook."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        bench.run(bench_file, ALL_SCENARIOS, repeat=2)
+        gc.collect()
+    assert [u.exc_type for u in unraisable] == []
 
 
 def test_integrity_error_on_divergent_checksums(bench_file, monkeypatch):
@@ -314,6 +332,17 @@ def test_cli_verify_corrupt_exit_1(tmp_path):
     r = runner.invoke(cli_main, ["verify", "--file", str(bad)])
     assert r.exit_code == 1
     assert "FAIL" in r.output
+
+
+def test_cli_verify_huge_basket_size_exit_1(tmp_path):
+    path = tmp_path / "h.bkio"
+    bench.generate(500, basket_capacity=64, codec=Codec.DEFLATE, out=path)
+    bad = rewrite_basket(path, tmp_path / "h_bad.bkio", 0, 1,
+                         compressed_size=2**62)
+    r = CliRunner().invoke(cli_main, ["verify", "--file", str(bad)])
+    assert r.exit_code == 1
+    assert "FAIL" in r.output
+    assert "DecompressError" in r.output
 
 
 def test_cli_shape_variants(tmp_path):

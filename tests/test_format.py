@@ -28,10 +28,11 @@ from bulkio import (
     encode_element,
     read_footer,
     scalar,
+    var_array,
 )
 from bulkio.format import footer_from_bytes, footer_to_bytes
 
-from conftest import ALL_TYPES, int_bounds
+from conftest import ALL_TYPES, int_bounds, rewrite_basket
 
 
 # --- element encode/decode ---
@@ -240,6 +241,57 @@ def test_read_footer_offset_past_eof(tmp_path, ramp_file):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         read_footer(path)
+
+
+def test_basket_past_end_of_file_rejected_at_open(tmp_path):
+    from bulkio import TreeFile
+    src = tmp_path / "d.bkio"
+    with TreeWriter(src, [("x", ElementType.F64, scalar())],
+                    basket_capacity_entries=8, codec=Codec.DEFLATE) as w:
+        for i in range(32):
+            w.fill(x=float(i))
+    for basket in (0, 2, 3):
+        bad = rewrite_basket(src, tmp_path / f"huge{basket}.bkio", 0, basket,
+                             compressed_size=2**62)
+        with pytest.raises(DecompressError):  # truncated, not a MemoryError
+            TreeFile(bad)
+        with pytest.raises(DecompressError):
+            read_footer(bad)
+
+
+@pytest.mark.parametrize("basket,offset", [(0, 0), (0, 7), (1, 9), (3, 60)],
+                         ids=["header", "header-end", "overlap", "overlap-last"])
+def test_baskets_that_overlap_rejected_at_open(tmp_path, ramp_file, basket, offset):
+    """ramp_file's four baskets sit back to back from byte 8: 128, 128, 128
+    and 16 bytes."""
+    bad = rewrite_basket(ramp_file, tmp_path / "overlap.bkio", 0, basket,
+                         file_offset=offset)
+    with pytest.raises(FormatError):
+        read_footer(bad)
+
+
+def test_var_basket_of_partial_elements_rejected(tmp_path):
+    """5 bytes cannot hold I32 elements; the read used to fail in numpy."""
+    src = tmp_path / "v.bkio"
+    with TreeWriter(src, [("v", ElementType.I32, var_array())],
+                    basket_capacity_entries=2) as w:
+        for row in ([1, 2], [3], [4], [5]):
+            w.fill(v=row)
+    bad = rewrite_basket(src, tmp_path / "odd.bkio", 0, 0,
+                         compressed_size=5, uncompressed_size=5)
+    with pytest.raises(FormatError):
+        read_footer(bad)
+
+
+def test_back_to_back_and_empty_baskets_accepted(tmp_path):
+    path = tmp_path / "empty_rows.bkio"
+    with TreeWriter(path, [("v", ElementType.F32, var_array())],
+                    basket_capacity_entries=2) as w:
+        for row in ([], [], [1.0], [], [], []):
+            w.fill(v=row)
+    footer = read_footer(path)
+    sizes = [bk.compressed_size for bk in footer.branches[0].baskets]
+    assert sizes == [0, 4, 0]
 
 
 def test_read_footer_unsupported_version(tmp_path, ramp_file):

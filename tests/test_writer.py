@@ -416,3 +416,63 @@ def test_extend_rejects_sequences_that_do_not_fit(tmp_path, etype, shape, column
         with pytest.raises(ShapeError):
             w.extend(x=column)
         assert w.n_entries == 0
+
+
+UNSIGNED = [ElementType.U8, ElementType.U16, ElementType.U32, ElementType.U64]
+
+
+@pytest.mark.parametrize("etype", UNSIGNED, ids=lambda t: t.name)
+@pytest.mark.parametrize("value", [np.int64(-1), np.float64(1e20),
+                                   np.float64("nan"), -1, 1e20],
+                         ids=["np.int64(-1)", "np.float64(1e20)", "np.nan",
+                              "-1", "1e20"])
+def test_fill_rejects_numpy_scalars_that_do_not_fit(tmp_path, etype, value):
+    """Numpy scalars are range-checked like the equal Python values."""
+    path = tmp_path / "np_scalar.bkio"
+    w = TreeWriter(path, [("x", etype, scalar())], basket_capacity_entries=2)
+    w.fill(x=value)  # a filled scalar is checked when its basket is sealed
+    with pytest.raises(ShapeError):
+        w.fill(x=1)
+    assert path.stat().st_size == 8
+    with pytest.raises(WriterClosed):
+        w.close()
+
+
+def test_fill_rejects_numpy_scalars_too_large_for_the_type(tmp_path):
+    for etype, big in ((ElementType.U8, np.uint16(256)),
+                       (ElementType.U16, np.uint32(1 << 16)),
+                       (ElementType.U32, np.uint64(1 << 32)),
+                       (ElementType.U64, np.float64(2.0**64))):
+        w = TreeWriter(tmp_path / f"{etype.name}.bkio", [("x", etype, scalar())])
+        w.fill(x=big)
+        with pytest.raises(ShapeError):
+            w.close()
+
+
+def test_fill_rejects_numpy_scalars_in_array_values(tmp_path):
+    with TreeWriter(tmp_path / "a.bkio",
+                    [("a", ElementType.U32, fixed_array(2))]) as w:
+        with pytest.raises(ShapeError):
+            w.fill(a=[np.int64(-1), 1])
+        w.fill(a=[np.int64(4), 1])
+
+
+@pytest.mark.parametrize("etype", UNSIGNED, ids=lambda t: t.name)
+def test_in_range_numpy_scalars_write_the_same_bytes(tmp_path, etype):
+    top = (1 << (8 * etype.width_bytes)) - 1
+    values = [0, 1, 7, top // 2, top - 1, top]
+    as_numpy = [np.int64(0), np.uint8(1), np.float64(7.0),
+                np.uint64(top // 2), np.dtype(etype.np_native).type(top - 1),
+                np.uint64(top)]
+    paths = []
+    for name, column in (("py", values), ("np", as_numpy)):
+        path = tmp_path / f"{name}.bkio"
+        with TreeWriter(path, [("x", etype, scalar()),
+                               ("a", etype, fixed_array(2))],
+                        basket_capacity_entries=4) as w:
+            for v in column:
+                w.fill(x=v, a=[v, v])
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    with TreeFile(paths[1]) as tf:
+        assert [tf.branch("x").get_entry(i) for i in range(6)] == values
