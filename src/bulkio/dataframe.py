@@ -4,13 +4,17 @@
 slots, each an entry range aligned to basket boundaries. :class:`Frame`
 composes filters and derived columns lazily; nothing is read until an
 action (count / sum / histogram) runs. An action walks each slot one window
-at a time and dispatches per event through the node chain, compiled once
-per window. In PER_ENTRY mode the window is the whole slot and each column
-value is one ``BranchReader.get_entry`` call. In BULK mode a window is one
-basket: each column the action reads is fetched serialized and decoded once
-per basket, and the chain indexes those values by position. Readers live
-only while their action runs. :func:`direct_sum` and friends bypass the
-frame and reduce over the source's per-basket buffers.
+at a time and dispatches per event. In PER_ENTRY mode the window is the
+whole slot and each column value is one ``BranchReader.get_entry`` call. In
+BULK mode a window is one basket: each column the action reads is fetched
+serialized and decoded once per basket into a list of per-event values.
+Without filters, a BULK window streams those lists: the action iterates the
+column's list, and a define is ``map``-ped over fresh streams of its
+arguments. With filters, and in every PER_ENTRY window, the node chain is
+compiled once per window into per-entry accessors and indexed by position,
+so filters short-circuit. Readers live only while their action runs.
+:func:`direct_sum` and friends bypass the frame and reduce over the
+source's per-basket buffers.
 
 Predicates and expressions are plain Python callables over the named
 columns' values, applied in declaration order; a filter chain stops at the
@@ -23,6 +27,8 @@ import weakref
 from bisect import bisect_left
 from contextlib import closing
 from functools import partial
+from itertools import chain, compress, repeat, starmap
+from operator import length_hint
 from os import PathLike
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -200,13 +206,14 @@ class DataSource:
         weakref.finalize(col, self._release, [rd])
         return col
 
-    def _windows(self, slot: int, columns: Sequence[str]):
+    def _windows(self, slot: int, columns: Sequence[str], lists: bool = False):
         """``(entries, {column: value of entry})`` for each window of a slot.
 
         PER_ENTRY: one window, the slot's entries, each value one
         ``get_entry`` call. BULK: one window per basket, entries ``0..n-1``
-        indexing each column's values decoded from that basket. The readers
-        are released when the generator finishes or is closed.
+        indexing each column's values decoded from that basket; with
+        ``lists``, each column maps to that list of values itself. The
+        readers are released when the generator finishes or is closed.
         """
         start, stop = self.slot_ranges[slot]
         readers: list[BranchReader] = []
@@ -223,7 +230,8 @@ class DataSource:
             edges.append(stop)
             for first, end in zip(edges, edges[1:]):
                 yield range(end - first), {
-                    c: col.load(first).__getitem__ for c, col in zip(columns, cols)}
+                    c: col.load(first) if lists else col.load(first).__getitem__
+                    for c, col in zip(columns, cols)}
         finally:
             self._release(readers)
 
@@ -346,12 +354,12 @@ class Frame:
 
     def count(self) -> int:
         """Number of events passing all filters."""
-        return self._fold(None, _count_window, int, int.__add__)
+        return self._fold(None, _count_window, None, int, int.__add__)
 
     def sum(self, column: str) -> float:
         """Float64 sum of a scalar numeric column over passing events."""
         self._check_action_column(column)
-        return self._fold(column, _sum_window, float, float.__add__)
+        return self._fold(column, _sum_window, _sum_stream, float, float.__add__)
 
     def histogram(self, column: str, bins: int, lo: float, hi: float) -> np.ndarray:
         """Fixed-width histogram counts of a scalar numeric column on [lo, hi)."""
@@ -360,8 +368,9 @@ class Frame:
         if not hi > lo:
             raise ValueError("need hi > lo")
         self._check_action_column(column)
-        window = partial(_hist_window, lo, hi, (hi - lo) / bins, bins)
-        counts = self._fold(column, window, lambda: [0] * bins,
+        binning = (lo, hi, (hi - lo) / bins, bins)
+        counts = self._fold(column, partial(_hist_window, *binning),
+                            partial(_hist_stream, *binning), lambda: [0] * bins,
                             lambda a, b: list(map(int.__add__, a, b)))
         return np.asarray(counts, dtype=np.int64)
 
@@ -389,19 +398,27 @@ class Frame:
         nodes.reverse()
         return [c for c in self._source.column_names if c in needed], nodes
 
-    def _fold(self, column: Optional[str], window, zero, combine):
+    def _fold(self, column: Optional[str], window, stream_window, zero, combine):
         """Run ``window(acc, entries, read, passes)`` over every window of
-        every slot. Each slot folds its windows in entry order from
-        ``zero()``; slot results combine in slot order."""
+        every slot; a BULK plan without filters runs
+        ``stream_window(acc, values)`` over the action column's values
+        instead. Each slot folds its windows in entry order from ``zero()``;
+        slot results combine in slot order."""
         columns, nodes = self._plan(column)
         source = self._source
+        stream = (column is not None and source.mode is SourceMode.BULK
+                  and not any(isinstance(n, _FilterNode) for n in nodes))
         result = zero()
         for slot in range(source.n_slots):
             acc = zero()
-            with closing(source._windows(slot, columns)) as windows:
+            with closing(source._windows(slot, columns, stream)) as windows:
                 for entries, values in windows:
-                    read, passes = _compile(nodes, values, column)
-                    acc = window(acc, entries, read, passes)
+                    if stream:
+                        acc = stream_window(
+                            acc, _action_stream(nodes, values, len(entries), column))
+                    else:
+                        read, passes = _compile(nodes, values, column)
+                        acc = window(acc, entries, read, passes)
             result = combine(result, acc)
         return result
 
@@ -433,8 +450,40 @@ def _compile(nodes, values: dict, column: Optional[str]):
     return (get[column] if column is not None else None), passes
 
 
-# The inner loops, the same for both source modes: ``entries`` indexes the
-# window's values (BULK) or the slot's entries (PER_ENTRY).
+def _stream(defines, lists: dict, n: int, column: str) -> Iterator:
+    """``column``'s values over one window of ``n`` events: an iterator over
+    a catalog column's decoded list, or a define mapped over fresh streams
+    of its arguments, one per reference. ``map`` pulls one value from each
+    argument in order before each call, so defines run per event, left to
+    right, once per reference, as the indexed chain runs them."""
+    node = next((d for d in defines if d.name == column), None)
+    if node is None:
+        return iter(lists[column])
+    if not node.columns:
+        return starmap(node.fn, repeat((), n))
+    return map(node.fn, *[_stream(defines, lists, n, c) for c in node.columns])
+
+
+def _action_stream(defines, lists: dict, n: int, column: str) -> Iterator:
+    """The action column's :func:`_stream`. ``map`` ends early, silently,
+    when a define raises StopIteration, which would drop the rest of the
+    window; so behind defines the events are counted, and a window cut
+    short raises RuntimeError, as a generator does (PEP 479)."""
+    values = _stream(defines, lists, n, column)
+    if not defines:
+        return values
+    left = repeat(True, n)
+    return chain(compress(values, left), _none_left(left))
+
+
+def _none_left(left: Iterator) -> Iterator:
+    if length_hint(left):
+        raise RuntimeError("a define raised StopIteration")
+    yield from ()
+
+
+# The indexed inner loops, the same for both source modes: ``entries``
+# indexes the window's values (BULK) or the slot's entries (PER_ENTRY).
 
 def _count_window(n: int, entries: range, read, passes) -> int:
     if passes is None:
@@ -462,6 +511,23 @@ def _hist_window(lo: float, hi: float, width: float, bins: int,
         if passes is not None and not passes(e):
             continue
         v = read(e)
+        if lo <= v < hi:
+            counts[_hist_scalar(v, lo, width, bins)] += 1
+    return counts
+
+
+# The streaming inner loops of a BULK window without filters: one value of
+# the action column per event, in entry order.
+
+def _sum_stream(acc: float, values: Iterator) -> float:
+    for v in values:
+        acc += v
+    return acc
+
+
+def _hist_stream(lo: float, hi: float, width: float, bins: int,
+                 counts: list, values: Iterator) -> list:
+    for v in values:
         if lo <= v < hi:
             counts[_hist_scalar(v, lo, width, bins)] += 1
     return counts

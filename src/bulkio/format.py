@@ -18,6 +18,7 @@ import enum
 import io
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import BinaryIO, Union
@@ -221,13 +222,19 @@ def compress_payload(data: bytes, codec: Codec) -> bytes:
 
 
 def decompress_payload(data: bytes, codec: Codec, expected_size: int) -> bytes:
-    """Decompress a basket payload and verify its size."""
+    """Decompress a basket payload and verify its size.
+
+    Inflating stops one byte past ``expected_size``, so a stream that would
+    inflate to more raises DecompressError without inflating it all.
+    """
     if codec is Codec.NONE:
         out = data
     elif codec is Codec.DEFLATE:
         try:
             d = zlib.decompressobj(-zlib.MAX_WBITS)
-            out = d.decompress(data) + d.flush()
+            out = d.decompress(data, min(expected_size, sys.maxsize - 1) + 1)
+            if len(out) <= expected_size:  # all input consumed
+                out += d.flush()
         except zlib.error as exc:
             raise DecompressError(f"deflate stream error: {exc}") from exc
     else:

@@ -71,13 +71,26 @@ class _Branch:
         self.chunks: list[np.ndarray] = []  # the open basket, flat, disk order
         self.baskets: list[BasketDescriptor] = []
 
-    def check_range(self, arr: np.ndarray) -> None:
-        """Reject integers the element type cannot hold (casts would wrap)."""
+    def check_range(self, arr: np.ndarray, inferred: bool = False) -> None:
+        """Reject values the element type cannot hold (casts would wrap).
+
+        Floats must be finite and below ``info.max + 1``, computed in floats:
+        ``info.max`` itself may round up to it. With ``inferred``, ``arr`` is
+        numpy's float reading of a sequence whose Python ints are converted
+        exactly elsewhere, so a value equal to that rounded bound passes.
+        """
         # dtype <= dtype is numpy's cheap spelling of can_cast(..., "safe")
         if arr.dtype <= self.disk or self.disk.kind not in "iu" or not arr.size:
             return
         info = np.iinfo(self.disk)
-        if arr.min() < info.min or arr.max() > info.max:
+        lo, hi = arr.min(), arr.max()
+        if arr.dtype.kind == "f":  # NaN passes every comparison as false
+            top = float(info.max) + 1
+            bad = (not (np.isfinite(lo) and np.isfinite(hi))
+                   or (hi > top if inferred else hi >= top))
+        else:
+            bad = hi > info.max
+        if bad or lo < info.min:
             raise ShapeError(f"branch {self.name!r}: values outside "
                              f"[{info.min}, {info.max}] do not fit {self.etype.name}")
 
@@ -95,7 +108,8 @@ class _Branch:
         if arr.dtype.kind not in "fO" or self.disk.kind not in "iu":
             return arr
         exact = self.owned(values)
-        self.check_range(arr)  # arrays in the sequence, which it casts unchecked
+        # arrays in the sequence, which it casts unchecked
+        self.check_range(arr, inferred=True)
         return exact
 
     def owned(self, values) -> np.ndarray:

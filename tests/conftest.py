@@ -123,6 +123,17 @@ def rewrite_basket(src, out, branch: int, basket: int, **fields):
     return out
 
 
+def deflate_bomb(tmp_path, recorded: int = 32 * 1024):
+    """A var F32 file whose one deflate basket inflates to 16 MiB of zeros
+    (about 16 KiB on disk) while its footer records ``recorded`` bytes."""
+    src = tmp_path / "zeros.bkio"
+    with TreeWriter(src, [("v", ElementType.F32, var_array())],
+                    codec=Codec.DEFLATE) as w:
+        w.fill(v=np.zeros(1 << 22, dtype="f4"))
+    return rewrite_basket(src, tmp_path / "bomb.bkio", 0, 0,
+                          uncompressed_size=recorded)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from bulkio import (
     var_array,
 )
 
-from conftest import rewrite_basket
+from conftest import deflate_bomb, rewrite_basket
 
 
 def _patch(path, branch: str, basket: int, at: int, value: int) -> None:
@@ -206,6 +208,22 @@ def test_recorded_size_past_the_stream_allocates_nothing(tmp_path):
     report = bench.verify(bad)
     assert not report.passed
     assert any("DecompressError" in f for f in report.failures)
+
+
+def test_deflate_bomb_stops_past_the_recorded_size(tmp_path):
+    """A stream that inflates past its recorded size raises DecompressError
+    once it has inflated one byte more, not after inflating all of it."""
+    bomb = deflate_bomb(tmp_path)
+    with TreeFile(bomb) as tf:
+        rd = tf.branch("v")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecompressError, match="expected 32768"):
+                rd.get_bulk_entries(0, BulkBuffer())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024  # the stream inflates to 16 MiB
 
 
 def test_basket_running_into_the_footer_is_truncated(tmp_path, ramp_file):

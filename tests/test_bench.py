@@ -23,7 +23,7 @@ from bulkio import (
 )
 from bulkio.cli import main as cli_main
 
-from conftest import rewrite_basket
+from conftest import deflate_bomb, rewrite_basket
 
 ALL_SCENARIOS = list(bench.SCENARIOS)
 
@@ -343,6 +343,14 @@ def test_cli_verify_huge_basket_size_exit_1(tmp_path):
     assert r.exit_code == 1
     assert "FAIL" in r.output
     assert "DecompressError" in r.output
+
+
+def test_cli_verify_deflate_bomb_exit_1(tmp_path):
+    bomb = deflate_bomb(tmp_path)
+    r = CliRunner().invoke(cli_main, ["verify", "--file", str(bomb)])
+    assert r.exit_code == 1
+    assert any(line.strip().startswith("FAIL") and "DecompressError" in line
+               for line in r.output.splitlines())
 
 
 def test_cli_shape_variants(tmp_path):

@@ -461,3 +461,92 @@ def test_direct_sum_sums_every_array_element(tmp_path, rng):
             direct_histogram(src, "v", 4, 0.0, 1.0)
         with pytest.raises(TypeMismatch):
             Frame(src).sum("v")
+
+
+# --- unfiltered BULK windows stream their values ---
+
+def _recorded(calls, name, fn):
+    """fn, also appending (name, its arguments) to calls at every call."""
+    def norm(a):
+        if isinstance(a, np.ndarray):
+            return "array", a.dtype.str, a.tolist()
+        return type(a), a
+
+    def call(*args):
+        calls.append((name, [norm(a) for a in args]))
+        return fn(*args)
+    return call
+
+
+def _unfiltered_actions(path, mode, n_slots):
+    """Results of count/sum/histogram on catalog columns and on defines of
+    defines without filters, and each define's calls in order."""
+    calls = []
+
+    def d1(x, i, b, a, v):
+        return x + 0.5 * i + b + float(a[1]) - float(np.sum(v, dtype=np.float64))
+
+    frame = (Frame(make_source(path, mode=mode, n_slots=n_slots))
+             .define("d1", _recorded(calls, "d1", d1), ["x", "i", "b", "a", "v"])
+             .define("unused", _recorded(calls, "unused", lambda x: x), ["x"])
+             .define("one", _recorded(calls, "one", lambda: 1.0), [])
+             .define("d2", _recorded(calls, "d2",
+                                     lambda p, q, s, t: p * 0.25 - q * 0.5 + s * t),
+                     ["d1", "d1", "i", "i"])
+             .define("d3", _recorded(calls, "d3",
+                                     lambda d2, x, one: d2 / (1.5 + x * x) + one),
+                     ["d2", "x", "one"]))
+    results = [frame.count()]
+    for column in ("x", "i", "d1", "d3"):
+        results.append(frame.sum(column))
+        results.append(frame.histogram(column, 11, -3.0, 3.0).tolist())
+    results.append(frame.sum("one"))
+    return results, calls
+
+
+@pytest.mark.parametrize("n,capacity", [(0, 16), (1, 16), (50, 16), (301, 32)])
+def test_unfiltered_per_entry_and_bulk_bit_identical(tmp_path, rng, n, capacity):
+    """Defines of defines, columns named twice: same sums, same calls."""
+    path = tmp_path / "u.bkio"
+    with TreeWriter(path, [("x", ElementType.F64, scalar()),
+                           ("i", ElementType.I32, scalar()),
+                           ("b", ElementType.BOOL, scalar()),
+                           ("a", ElementType.F32, fixed_array(2)),
+                           ("v", ElementType.F32, var_array())],
+                    basket_capacity_entries=capacity) as w:
+        for e in range(n):
+            w.fill(x=float(rng.standard_normal()), i=int(rng.integers(-9, 9)),
+                   b=bool(e % 3), a=rng.standard_normal(2).astype("f4"),
+                   v=rng.standard_normal(e % 4).astype("f4"))
+    for n_slots in (1, 2, 3):
+        per_entry, per_entry_calls = _unfiltered_actions(
+            path, SourceMode.PER_ENTRY, n_slots)
+        bulk, bulk_calls = _unfiltered_actions(path, SourceMode.BULK, n_slots)
+        assert per_entry == bulk
+        assert per_entry_calls == bulk_calls
+        # per action and event: d1 once per reference, left to right
+        names = [name for name, _ in bulk_calls]
+        assert "unused" not in names
+        assert names.count("d1") == 2 * n + 2 * 2 * n  # sum/hist of d1; of d3
+        assert names[2 * n:2 * n + 5] == (
+            ["d1", "d1", "d2", "one", "d3"] if n else [])
+    assert per_entry[0] == n
+    assert per_entry[-1] == float(n)
+
+
+@pytest.mark.parametrize("empty", [5, 7], ids=["mid-window", "window-end"])
+def test_define_raising_stop_iteration_never_cuts_a_window_short(tmp_path, empty):
+    """``map`` ends early on StopIteration: the action raises instead of
+    summing what came before it."""
+    path = tmp_path / "lead.bkio"
+    with TreeWriter(path, [("v", ElementType.F32, var_array())],
+                    basket_capacity_entries=4) as w:
+        for i in range(10):
+            w.fill(v=[] if i == empty else [float(i)])
+    for mode in MODES:
+        frame = (Frame(make_source(path, mode=mode))
+                 .define("lead", lambda v: float(next(iter(v))), ["v"])
+                 .define("twice", lambda a: 2.0 * a, ["lead"]))
+        for column in ("lead", "twice"):
+            with pytest.raises((StopIteration, RuntimeError)):
+                frame.sum(column)

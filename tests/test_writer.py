@@ -476,3 +476,67 @@ def test_in_range_numpy_scalars_write_the_same_bytes(tmp_path, etype):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     with TreeFile(paths[1]) as tf:
         assert [tf.branch("x").get_entry(i) for i in range(6)] == values
+
+
+INTEGER_TYPES = [ElementType.I8, ElementType.U8, ElementType.I16, ElementType.U16,
+                 ElementType.I32, ElementType.U32, ElementType.I64, ElementType.U64]
+
+
+def _float_bounds(etype):
+    """(the float below the type's min, the first float past its max, the
+    largest whole float it holds): float(info.max) rounds up past the max of
+    the 64-bit types."""
+    info = np.iinfo(etype.np_native)
+    top = float(info.max) + 1
+    return (np.nextafter(float(info.min), -np.inf), top,
+            min(float(info.max), np.nextafter(top, 0.0)))
+
+
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE], ids=["none", "deflate"])
+@pytest.mark.parametrize("etype", INTEGER_TYPES, ids=lambda t: t.name)
+def test_extend_rejects_floats_that_do_not_fit(tmp_path, etype, codec):
+    below, top, _ = _float_bounds(etype)
+    with TreeWriter(tmp_path / "f.bkio", [("x", etype, scalar()),
+                                          ("a", etype, fixed_array(2)),
+                                          ("v", etype, var_array())],
+                    codec=codec) as w:
+        for bad in ([np.nan, 2.0], [2.0, np.inf], [-np.inf, 1.0], [top, 1.0],
+                    [below, 1.0], [1.0, np.nan]):
+            col = np.array(bad)
+            for x, a, v in ((col, np.ones((2, 2)), (np.ones(2), [1, 1])),
+                            (np.ones(2), np.stack([col, col], axis=1),
+                             (np.ones(2), [1, 1])),
+                            (np.ones(2), np.ones((2, 2)), (col, [1, 1]))):
+                with pytest.raises(ShapeError, match=etype.name):
+                    w.extend(x=x, a=a, v=v)
+        assert w.n_entries == 0
+
+
+@pytest.mark.parametrize("etype,bad", [(ElementType.U32, [np.nan, 2.0]),
+                                       (ElementType.U64, [2.0**64, 1.0])],
+                         ids=["U32-nan", "U64-2**64"])
+def test_extend_float_defects_are_rejected(tmp_path, etype, bad):
+    path = tmp_path / "d.bkio"
+    with TreeWriter(path, [("x", etype, scalar())]) as w:
+        with pytest.raises(ShapeError):
+            w.extend(x=np.array(bad))
+        w.extend(x=np.array([3.0]))
+    assert _read_all(path, "x") == [3]
+
+
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE], ids=["none", "deflate"])
+@pytest.mark.parametrize("etype", INTEGER_TYPES, ids=lambda t: t.name)
+def test_in_range_floats_write_the_same_bytes_as_integers(tmp_path, etype, codec):
+    info = np.iinfo(etype.np_native)
+    _, _, last = _float_bounds(etype)
+    floats = np.array([float(info.min), 0.0, 1.0, 7.0, last])
+    ints = [info.min, 0, 1, 7, int(last)]
+    paths = []
+    for name, column in (("int", ints), ("float", floats)):
+        path = tmp_path / f"{name}.bkio"
+        with TreeWriter(path, [("x", etype, scalar())], codec=codec,
+                        basket_capacity_entries=3) as w:
+            w.extend(x=column)
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert _read_all(paths[1], "x") == ints
