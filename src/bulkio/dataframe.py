@@ -19,6 +19,8 @@ source's per-basket buffers.
 Predicates and expressions are plain Python callables over the named
 columns' values, applied in declaration order; a filter chain stops at the
 first false predicate, and a define is evaluated each time it is referenced.
+A ``StopIteration`` from a define or filter raises ``RuntimeError`` from the
+action, in every window.
 """
 
 from __future__ import annotations
@@ -418,7 +420,11 @@ class Frame:
                             acc, _action_stream(nodes, values, len(entries), column))
                     else:
                         read, passes = _compile(nodes, values, column)
-                        acc = window(acc, entries, read, passes)
+                        try:  # would end a caller's generator or map silently
+                            acc = window(acc, entries, read, passes)
+                        except StopIteration as exc:
+                            raise RuntimeError(
+                                "a define or filter raised StopIteration") from exc
             result = combine(result, acc)
         return result
 

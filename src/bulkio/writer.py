@@ -3,12 +3,19 @@
 All branches flush at the same entry boundaries (every ``basket_capacity``
 entries), so every branch of a file has identical basket spans. Variable
 arrays are backed by a writer-managed u32 count branch, visible in the
-footer like any other branch.
+footer like any other branch; its values are the lengths of the filled
+rows of the first branch sharing it, taken when a basket is sealed.
 
 ``fill`` and ``extend`` copy their inputs into disk order when called, so
-callers may reuse their buffers. A branch's open basket is a list of such
-chunks; ``extend`` has one path, adding a chunk per basket it touches, and
-a flush joins them.
+callers may reuse their buffers. Each call checks all its values before it
+appends any, and raises ShapeError for a missing or unknown branch, a
+value of the wrong shape or length, counts that disagree, text, bytes or
+None where numbers belong (Python or numpy numbers: text would be parsed),
+and array values an integer branch cannot hold. Only a filled scalar out
+of its type's range is found later, when its basket is sealed: that fails
+the writer with a ShapeError. A branch's open basket is a list of chunks;
+``extend`` has one path, adding a chunk per basket it touches, and a flush
+joins them.
 """
 
 from __future__ import annotations
@@ -39,6 +46,19 @@ DEFAULT_BASKET_CAPACITY = 8192
 
 _U64 = struct.Struct(">Q")
 _PY_NUMBERS = frozenset((int, float, bool))
+# numpy dtype kinds of numbers: bool, integers, floats, complex
+_NUMBER_KINDS = "biufc"
+# fill's one type test per scalar: anything else takes _Branch.check_scalar
+_NUMBER_TYPES = _PY_NUMBERS | {
+    np.dtype(c).type for c in "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]}
+_TEXT = (str, bytes, bytearray)
+
+
+def _non_number(t: type) -> bool:
+    """Whether values of type t are None, text or a numpy non-number."""
+    if issubclass(t, np.generic):
+        return np.dtype(t).kind not in _NUMBER_KINDS
+    return t is type(None) or issubclass(t, _TEXT)
 
 SchemaEntry = tuple[str, ElementType, BranchShape]
 
@@ -52,24 +72,77 @@ class WriteStats:
 
 class _Branch:
     __slots__ = (
-        "name", "etype", "kind", "fixed_len", "count", "is_count", "disk",
-        "rows", "chunks", "baskets", "count_index",
+        "name", "etype", "kind", "fixed_len", "count", "lead", "disk",
+        "rows", "pending", "chunks", "baskets", "count_index",
     )
 
     def __init__(self, name: str, etype: ElementType, kind: ShapeKind,
-                 fixed_len: int = 0, is_count: bool = False):
+                 fixed_len: int = 0):
         self.name = name
         self.etype = etype
         self.kind = kind
         self.fixed_len = fixed_len
         self.count: "_Branch | None" = None  # var branches: managed count branch
+        self.lead: "_Branch | None" = None  # count branches: first var branch
         self.count_index = -1
-        self.is_count = is_count
         # BOOL is stored as u1 bytes 0/1; casting through bool gives exactly that
         self.disk = np.dtype(bool if etype is ElementType.BOOL else etype.np_disk)
         self.rows: list = []  # fill() values not yet sealed into a chunk
+        self.pending: "np.ndarray | None" = None  # array value of a fill in check
         self.chunks: list[np.ndarray] = []  # the open basket, flat, disk order
         self.baskets: list[BasketDescriptor] = []
+
+    def check_scalar(self, v) -> None:
+        """fill's check of a scalar whose type is not a known number type:
+        sequences, text, bytes, None and numpy non-numbers raise ShapeError."""
+        if isinstance(v, (list, tuple, np.ndarray, bytes)):
+            raise ShapeError(f"branch {self.name!r} is scalar, got a sequence")
+        if _non_number(type(v)):
+            raise self.not_numbers(type(v).__name__)
+
+    def row(self, v) -> np.ndarray:
+        """fill's array value as a new flat row in disk order: ShapeError
+        unless it has the fixed length or, for a var branch, the length of
+        its count's lead branch in the same event, and numbers that fit."""
+        try:
+            n = len(v)
+        except TypeError:
+            raise ShapeError(
+                f"branch {self.name!r} is an array branch, got a scalar"
+            ) from None
+        if self.kind is ShapeKind.FIXED_ARRAY:
+            if n != self.fixed_len:
+                raise ShapeError(
+                    f"branch {self.name!r} expects {self.fixed_len} elements, got {n}"
+                )
+        elif self.count.lead is not self:  # the lead's row is checked already
+            prev = len(self.count.lead.pending)
+            if n != prev:
+                raise ShapeError(
+                    f"shared count branch {self.count.name!r} got lengths "
+                    f"{prev} and {n} in one event"
+                )
+        row = self.owned(v)
+        if row.ndim != 1:
+            raise ShapeError(f"branch {self.name!r} expects a flat sequence")
+        return row
+
+    def not_numbers(self, what) -> ShapeError:
+        return ShapeError(f"branch {self.name!r} takes numbers, got {what}")
+
+    def check_types(self, types: set) -> None:
+        """ShapeError if values of one of these types are not numbers."""
+        bad = next(filter(_non_number, types), None)
+        if bad is not None:
+            raise self.not_numbers(bad.__name__)
+
+    def check_numbers(self, arr: np.ndarray) -> None:
+        """ShapeError unless arr holds numbers: numpy would parse text."""
+        kind = arr.dtype.kind
+        if kind == "O":
+            self.check_types(set(map(type, arr.flat)))
+        elif kind not in _NUMBER_KINDS:
+            raise self.not_numbers(arr.dtype)
 
     def check_range(self, arr: np.ndarray, inferred: bool = False) -> None:
         """Reject values the element type cannot hold (casts would wrap).
@@ -95,17 +168,16 @@ class _Branch:
                              f"[{info.min}, {info.max}] do not fit {self.etype.name}")
 
     def exact(self, values) -> np.ndarray:
-        """values as an array that keeps every integer exact.
+        """values as an array of numbers that keeps every integer exact.
 
         numpy infers float64 for a Python sequence that mixes ints past the
         int64 range with others (object past uint64), rounding them; for an
         integer branch such a sequence is converted with the disk dtype
         instead, which converts each Python int exactly or raises ShapeError.
         """
-        if isinstance(values, np.ndarray):
-            return values
-        arr = np.asarray(values)
-        if arr.dtype.kind not in "fO" or self.disk.kind not in "iu":
+        arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+        self.check_numbers(arr)
+        if arr is values or arr.dtype.kind not in "fO" or self.disk.kind not in "iu":
             return arr
         exact = self.owned(values)
         # arrays in the sequence, which it casts unchecked
@@ -113,10 +185,22 @@ class _Branch:
         return exact
 
     def owned(self, values) -> np.ndarray:
-        """A copy of values in disk order; ShapeError if they do not fit."""
+        """A copy of values in disk order; ShapeError unless they are
+        numbers that fit."""
         if isinstance(values, np.ndarray):
+            self.check_numbers(values)
             self.check_range(values)
             return values.astype(self.disk)
+        if isinstance(values, _TEXT):  # would split into characters
+            raise self.not_numbers(type(values).__name__)
+        types = set(map(type, values))
+        if not types <= _PY_NUMBERS:
+            self.check_types(types)
+        return self.converted(values)
+
+    def converted(self, values: list) -> np.ndarray:
+        """A list of numbers as a new array in disk order; ShapeError if
+        they do not fit."""
         # numpy casts numpy scalars unchecked, so those become Python numbers
         if self.disk.kind in "iu" and not set(map(type, values)) <= _PY_NUMBERS:
             values = [v.item() if isinstance(v, np.generic) else v for v in values]
@@ -156,6 +240,13 @@ class TreeWriter:
         self._by_name: dict[str, _Branch] = {}
         self._user: list[_Branch] = []
         self._build_branches(schema)
+        # fill's plan: the key set, (name, rows.append) of each scalar
+        # branch, and the array branches, empty for a schema of scalars
+        self._user_names = frozenset(br.name for br in self._user)
+        self._scalars = tuple((br.name, br.rows.append) for br in self._user
+                              if br.kind is ShapeKind.SCALAR)
+        self._arrays = tuple(br for br in self._user
+                             if br.kind is not ShapeKind.SCALAR)
         self._n_filled = 0
         self._basket_first = 0  # first entry of the currently open basket
         self._closed = False
@@ -184,8 +275,8 @@ class TreeWriter:
                     )
                 cb = counts.get(count_name)
                 if cb is None:
-                    cb = _Branch(count_name, ElementType.U32, ShapeKind.SCALAR,
-                                 is_count=True)
+                    cb = _Branch(count_name, ElementType.U32, ShapeKind.SCALAR)
+                    cb.lead = br
                     counts[count_name] = cb
                     self._by_name[count_name] = cb
                 br.count = cb
@@ -207,46 +298,27 @@ class TreeWriter:
     def fill(self, **values) -> int:
         """Append one event; returns the entry index it received.
 
-        A scalar its element type cannot hold closes the writer with a
-        ShapeError once sealed into a chunk (by a flush or an extend)."""
-        self._check_open()
-        self._check_arity(values)
-        checked = []
-        count_values: dict[_Branch, int] = {}
-        for br in self._user:
-            v = values[br.name]
-            if br.kind is ShapeKind.SCALAR:
-                if isinstance(v, (list, tuple, np.ndarray, bytes)):
-                    raise ShapeError(f"branch {br.name!r} is scalar, got a sequence")
-            else:
-                try:
-                    n = len(v)
-                except TypeError:
-                    raise ShapeError(
-                        f"branch {br.name!r} is an array branch, got a scalar"
-                    ) from None
-                if br.kind is ShapeKind.FIXED_ARRAY and n != br.fixed_len:
-                    raise ShapeError(
-                        f"branch {br.name!r} expects {br.fixed_len} elements, got {n}"
-                    )
-                if br.kind is ShapeKind.VAR_ARRAY:
-                    prev = count_values.setdefault(br.count, n)
-                    if prev != n:
-                        raise ShapeError(
-                            f"shared count branch {br.count.name!r} got lengths "
-                            f"{prev} and {n} in one event"
-                        )
-                v = br.owned(v)
-                if v.ndim != 1:
-                    raise ShapeError(f"branch {br.name!r} expects a flat sequence")
-            checked.append((br, v))
-        for br, v in checked:
-            br.rows.append(v)
-        for cb, n in count_values.items():
-            cb.rows.append(n)
+        Every value is checked before any is appended, and array values are
+        copied: a ShapeError appends nothing. Only a scalar its element type
+        cannot hold passes, and closes the writer with a ShapeError once
+        sealed into a chunk (by a flush or an extend)."""
+        if self._closed:
+            raise WriterClosed("writer already closed")
+        if values.keys() != self._user_names:
+            self._check_arity(values)
+        for name, _ in self._scalars:
+            if type(values[name]) not in _NUMBER_TYPES:
+                self._by_name[name].check_scalar(values[name])
+        if self._arrays:
+            for br in self._arrays:
+                br.pending = br.row(values[br.name])
+            for br in self._arrays:
+                br.rows.append(br.pending)
+        for name, append in self._scalars:
+            append(values[name])
         entry = self._n_filled
-        self._n_filled += 1
-        if self._n_filled - self._basket_first == self._capacity:
+        self._n_filled = n = entry + 1
+        if n - self._basket_first == self._capacity:
             self._flush()
         return entry
 
@@ -280,10 +352,19 @@ class TreeWriter:
             else:
                 if isinstance(v, tuple) and len(v) == 2:
                     flat = br.exact(v[0])
+                    br.check_numbers(np.asarray(v[1]))
                     counts = np.asarray(v[1], dtype="u4")
                 else:  # joined as one sequence: rows' dtypes cannot promote
-                    rows = list(v)
-                    counts = np.asarray([len(r) for r in rows], dtype="u4")
+                    try:
+                        rows = list(v)
+                        counts = np.asarray([len(r) for r in rows], dtype="u4")
+                    except TypeError:
+                        raise ShapeError(
+                            f"branch {br.name!r} expects a sequence of rows"
+                        ) from None
+                    text = next((r for r in rows if isinstance(r, _TEXT)), None)
+                    if text is not None:  # would split into characters
+                        raise br.not_numbers(type(text).__name__)
                     flat = br.exact([x for r in rows for x in r])
                 if counts.ndim != 1 or flat.ndim != 1:
                     raise ShapeError(f"branch {br.name!r}: malformed var input")
@@ -335,23 +416,31 @@ class TreeWriter:
             if br.name not in values:
                 raise ShapeError(f"missing value for branch {br.name!r}")
         for name in values:
-            br = self._by_name.get(name)
-            if br is None:
+            if name not in self._by_name:
                 raise ShapeError(f"unknown branch {name!r}")
-            if br.is_count:
+            if name not in self._user_names:
                 raise ShapeError(f"count branch {name!r} is writer-managed")
 
     # --- basket emission ---
 
     def _seal(self) -> None:
-        """Turn each branch's filled rows into a chunk, before any basket write.
-        A filled scalar that does not fit fails the writer: it cannot flush."""
+        """Turn each branch's filled rows into a chunk, before any basket write;
+        a count branch's chunk is the row lengths of its lead. A filled scalar
+        that does not fit fails the writer: it cannot flush."""
         try:
-            for br in self._branches:
-                if br.rows:  # array rows are already in disk order
-                    br.chunks.append(br.owned(br.rows) if br.kind is ShapeKind.SCALAR
-                                     else np.concatenate(br.rows, dtype=br.disk))
-                    br.rows = []
+            for br in self._user:
+                rows = br.rows
+                if not rows:
+                    continue
+                if br.kind is ShapeKind.SCALAR:  # checked for type by fill
+                    br.chunks.append(br.converted(rows))
+                else:  # rows are already in disk order
+                    br.chunks.append(np.concatenate(rows, dtype=br.disk))
+                    cb = br.count
+                    if cb is not None and cb.lead is br:
+                        cb.chunks.append(
+                            np.fromiter(map(len, rows), cb.disk, len(rows)))
+                rows.clear()  # in place: fill holds the bound append
         except ShapeError:
             self._abandon()
             raise

@@ -537,7 +537,9 @@ def test_unfiltered_per_entry_and_bulk_bit_identical(tmp_path, rng, n, capacity)
 @pytest.mark.parametrize("empty", [5, 7], ids=["mid-window", "window-end"])
 def test_define_raising_stop_iteration_never_cuts_a_window_short(tmp_path, empty):
     """``map`` ends early on StopIteration: the action raises instead of
-    summing what came before it."""
+    summing what came before it. Indexed windows (PER_ENTRY, and any behind
+    a filter) raise the same RuntimeError: a bare StopIteration would end a
+    caller's own generator or ``map`` silently."""
     path = tmp_path / "lead.bkio"
     with TreeWriter(path, [("v", ElementType.F32, var_array())],
                     basket_capacity_entries=4) as w:
@@ -548,5 +550,12 @@ def test_define_raising_stop_iteration_never_cuts_a_window_short(tmp_path, empty
                  .define("lead", lambda v: float(next(iter(v))), ["v"])
                  .define("twice", lambda a: 2.0 * a, ["lead"]))
         for column in ("lead", "twice"):
-            with pytest.raises((StopIteration, RuntimeError)):
+            with pytest.raises(RuntimeError):
                 frame.sum(column)
+        filtered = frame.filter(lambda a: a > 0.0, ["lead"])
+        with pytest.raises(RuntimeError):
+            filtered.count()
+        with pytest.raises(RuntimeError):
+            filtered.sum("twice")
+        with pytest.raises(RuntimeError):
+            filtered.histogram("twice", 4, 0.0, 20.0)

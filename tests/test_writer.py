@@ -540,3 +540,158 @@ def test_in_range_floats_write_the_same_bytes_as_integers(tmp_path, etype, codec
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert _read_all(paths[1], "x") == ints
+
+
+# --- checks made when fill or extend is called ---
+
+# Rejected fills: for each schema, branch -> bad values for that branch;
+# good rows give event i the values _good_row(schema, i).
+REJECT_SCHEMAS = {
+    "scalar": [("a", ElementType.F32, scalar()), ("b", ElementType.I32, scalar()),
+               ("c", ElementType.U8, scalar())],
+    "fixed": [("a", ElementType.F32, scalar()),
+              ("f", ElementType.I16, fixed_array(2)),
+              ("g", ElementType.F64, fixed_array(3))],
+    "var": [("a", ElementType.I32, scalar()), ("v", ElementType.F32, var_array()),
+            ("w", ElementType.U8, var_array())],
+    "shared": [("v", ElementType.F32, var_array(count_name="n")),
+               ("a", ElementType.F64, scalar()),
+               ("w", ElementType.I16, var_array(count_name="n"))],
+}
+BAD_VALUES = {
+    ShapeKind.SCALAR: [[1.0], (1, 2), np.zeros(1), b"1", "1.5", None,
+                       np.str_("1")],
+    ShapeKind.FIXED_ARRAY: [1.0, [1, 2, 3, 4], [[1, 2]], "12", b"12",
+                            [None, 1], ["1", "2"], np.array(["1", "2"])],
+    ShapeKind.VAR_ARRAY: [1.0, "1", b"1", [None], np.array(["1"]), [[1]]],
+}
+
+
+def _bad_values(etype, shape):
+    bad = list(BAD_VALUES[shape.kind])
+    if shape.kind is not ShapeKind.SCALAR and np.dtype(etype.np_native).kind in "iu":
+        bad.append([70000] * max(shape.fixed_len, 1))  # out of range
+    if shape.count_name:  # good rows are at most 2 long
+        bad.append([1.0] * 5)
+    return bad
+
+
+def _good_row(schema, i):
+    row = {}
+    for name, _, shape in schema:
+        if shape.kind is ShapeKind.SCALAR:
+            row[name] = i
+        elif shape.kind is ShapeKind.FIXED_ARRAY:
+            row[name] = [i + k for k in range(shape.fixed_len)]
+        else:  # every var branch i % 3 long, so shared counts agree
+            row[name] = np.arange(i % 3, dtype="i4") + i
+    return row
+
+
+@pytest.mark.parametrize("schema_name", REJECT_SCHEMAS)
+def test_rejected_fill_appends_nothing(tmp_path, schema_name):
+    """A bad value in any branch position, tried before every good fill,
+    leaves n_entries and the file exactly as without the call."""
+    schema = REJECT_SCHEMAS[schema_name]
+    n = 11
+    ref = tmp_path / "ref.bkio"
+    with TreeWriter(ref, schema, basket_capacity_entries=4,
+                    codec=Codec.DEFLATE) as w:
+        for i in range(n):
+            w.fill(**_good_row(schema, i))
+    tried = 0
+    for name, etype, shape in schema:
+        for bad in _bad_values(etype, shape):
+            path = tmp_path / f"{name}-{tried}.bkio"
+            with TreeWriter(path, schema, basket_capacity_entries=4,
+                            codec=Codec.DEFLATE) as w:
+                for i in range(n):
+                    with pytest.raises(ShapeError):
+                        w.fill(**{**_good_row(schema, i), name: bad})
+                    assert w.n_entries == i
+                    w.fill(**_good_row(schema, i))
+            assert path.read_bytes() == ref.read_bytes(), (name, bad)
+            tried += 1
+    assert tried >= 20
+
+
+@pytest.mark.parametrize("etype", [ElementType.F32, ElementType.I32,
+                                   ElementType.U8], ids=lambda t: t.name)
+@pytest.mark.parametrize("value", ["1.5", "1", b"1", None, np.str_("1"),
+                                   np.bytes_(b"1"), np.datetime64("2020")],
+                         ids=["str-float", "str-int", "bytes", "None", "np.str_",
+                              "np.bytes_", "datetime64"])
+def test_fill_rejects_non_numbers_when_called(tmp_path, etype, value):
+    path = tmp_path / "text.bkio"
+    with TreeWriter(path, [("x", etype, scalar())],
+                    basket_capacity_entries=2) as w:
+        with pytest.raises(ShapeError):
+            w.fill(x=value)
+        assert w.n_entries == 0
+        w.fill(x=1)
+        w.fill(x=2)  # seals a basket: nothing of the rejected call is left
+    assert _read_all(path) == [1, 2]
+
+
+@pytest.mark.parametrize("shape", [fixed_array(2), var_array()],
+                         ids=["fixed", "var"])
+@pytest.mark.parametrize("value", ["12", b"12", ["1", "2"], [None, 1],
+                                   np.array(["1", "2"]), np.array([b"1", b"2"]),
+                                   np.array([1, None], dtype=object)],
+                         ids=["str", "bytes", "str-list", "None-list",
+                              "U-array", "S-array", "object-array"])
+def test_fill_rejects_non_numeric_arrays(tmp_path, shape, value):
+    path = tmp_path / "text.bkio"
+    with TreeWriter(path, [("x", ElementType.U8, shape)]) as w:
+        with pytest.raises(ShapeError):
+            w.fill(x=value)
+        assert w.n_entries == 0
+        w.fill(x=[1, 2])
+    assert [list(v) for v in _read_all(path)] == [[1, 2]]
+
+
+@pytest.mark.parametrize("shape,column", [
+    (scalar(), np.array(["1.5", "2"])),
+    (scalar(), ["1.5", "2"]),
+    (scalar(), np.array([b"1", b"2"])),
+    (scalar(), [None, 1.0]),
+    (scalar(), None),
+    (scalar(), "12"),
+    (fixed_array(1), np.array([["1"], ["2"]])),
+    (fixed_array(1), [[None], [1]]),
+    (var_array(), (np.array(["1", "2"]), [1, 1])),
+    (var_array(), ([None, 1.0], [1, 1])),
+    (var_array(), ([1.0, 2.0], ["1", "1"])),
+    (var_array(), ["1", "2"]),
+    (var_array(), [b"1", b"2"]),
+    (var_array(), [[None], [1]]),
+    (var_array(), [None, [1]]),
+    (var_array(), None),
+], ids=["U-array", "str-list", "S-array", "None-list", "None", "str",
+        "fixed-U-array", "fixed-None", "var-U-flat", "var-None-flat", "var-U-counts",
+        "var-str-rows", "var-bytes-rows", "var-None-in-row", "var-None-row",
+        "var-None"])
+@pytest.mark.parametrize("etype", [ElementType.F32, ElementType.I32],
+                         ids=lambda t: t.name)
+def test_extend_rejects_non_numbers_when_called(tmp_path, etype, shape, column):
+    path = tmp_path / "text.bkio"
+    with TreeWriter(path, [("x", etype, shape)]) as w:
+        with pytest.raises(ShapeError):
+            w.extend(x=column)
+        assert w.n_entries == 0
+
+
+def test_python_and_numpy_numbers_fill_the_same_bytes(tmp_path):
+    values = [1.5, 2.0, 0.0, 1.0, -3.0, 7.0]
+    as_numbers = [np.float32(1.5), np.int64(2), False, True, np.int8(-3),
+                  np.float16(7.0)]
+    paths = []
+    for name, column in (("py", values), ("np", as_numbers)):
+        path = tmp_path / f"{name}.bkio"
+        with TreeWriter(path, [("x", ElementType.F32, scalar()),
+                               ("a", ElementType.F64, fixed_array(1))],
+                        basket_capacity_entries=4) as w:
+            for v in column:
+                w.fill(x=v, a=[v])
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
