@@ -208,7 +208,7 @@ class BranchReader:
     __slots__ = ("_file", "_desc", "_etype", "_width", "_k", "_baskets",
                  "_firsts", "_n_entries", "_ck_first", "_ck_end", "_ck_payload",
                  "_ck_buf", "_ck_counts", "_baskets_read", "_unpack_from",
-                 "__weakref__")
+                 "_uint", "__weakref__")
 
     def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
         self._file = file
@@ -228,6 +228,9 @@ class BranchReader:
         self._ck_counts: Optional[CountBuffer] = None
         self._baskets_read = 0
         self._unpack_from = _DISK_STRUCTS[self._etype].unpack_from
+        # (native, disk) unsigned ints of the element width: swapping through
+        # them keeps every float bit pattern, NaN payloads included
+        self._uint = (np.dtype(f"u{self._width}"), np.dtype(f">u{self._width}"))
 
     # --- metadata ---
 
@@ -333,8 +336,8 @@ class BranchReader:
             if payload is None:
                 fd = self._open_fd(bk)
                 self._got(bk, os.preadv(fd, [mem], bk.file_offset) if nbytes else 0)
-                if swap:
-                    mem.view(etype.np_disk).byteswap(inplace=True)
+                if swap:  # numpy swaps two views of one memory without a copy
+                    np.copyto(mem.view(self._uint[0]), mem.view(self._uint[1]))
             elif swap:
                 mem.view(etype.np_native)[:] = np.frombuffer(payload,
                                                              dtype=etype.np_disk)

@@ -6,16 +6,22 @@ arrays are backed by a writer-managed u32 count branch, visible in the
 footer like any other branch; its values are the lengths of the filled
 rows of the first branch sharing it, taken when a basket is sealed.
 
-``fill`` and ``extend`` copy their inputs into disk order when called, so
-callers may reuse their buffers. Each call checks all its values before it
+``fill`` and ``extend`` copy their array inputs when called, so callers
+may reuse their buffers. Each call checks all its values before it
 appends any, and raises ShapeError for a missing or unknown branch, a
-value of the wrong shape or length, counts that disagree, text, bytes or
-None where numbers belong (Python or numpy numbers: text would be parsed),
-and array values an integer branch cannot hold. Only a filled scalar out
+value of the wrong shape or length, a ragged sequence, counts that
+disagree or are not whole numbers, text, bytes or None where numbers
+belong (Python or numpy numbers: text would be parsed), and array values
+the branch's type cannot hold. Only a filled scalar out
 of its type's range is found later, when its basket is sealed: that fails
-the writer with a ShapeError. A branch's open basket is a list of chunks;
-``extend`` has one path, adding a chunk per basket it touches, and a flush
-joins them.
+the writer with a ShapeError.
+
+A branch's open basket is a list of disk-order chunks. ``extend`` has one
+path, adding a chunk per basket it touches, and a flush joins them.
+``fill`` keeps scalars as they came and each array row as its own
+native-order bytes; sealing the basket turns an array branch's rows into
+one chunk with a single swap into disk order, and its count branch's
+chunk into the rows' lengths.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ _NUMBER_KINDS = "biufc"
 _NUMBER_TYPES = _PY_NUMBERS | {
     np.dtype(c).type for c in "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]}
 _TEXT = (str, bytes, bytearray)
+_NDARRAY = np.ndarray
 
 
 def _non_number(t: type) -> bool:
@@ -72,8 +79,8 @@ class WriteStats:
 
 class _Branch:
     __slots__ = (
-        "name", "etype", "kind", "fixed_len", "count", "lead", "disk",
-        "rows", "pending", "chunks", "baskets", "count_index",
+        "name", "etype", "kind", "fixed_len", "count", "lead", "disk", "native",
+        "plain", "rows", "pending", "chunks", "baskets", "count_index",
     )
 
     def __init__(self, name: str, etype: ElementType, kind: ShapeKind,
@@ -87,8 +94,14 @@ class _Branch:
         self.count_index = -1
         # BOOL is stored as u1 bytes 0/1; casting through bool gives exactly that
         self.disk = np.dtype(bool if etype is ElementType.BOOL else etype.np_disk)
-        self.rows: list = []  # fill() values not yet sealed into a chunk
-        self.pending: "np.ndarray | None" = None  # array value of a fill in check
+        self.native = np.dtype(etype.np_native)
+        # dtype of the rows fill copies without a check: set for a var
+        # branch leading its count, once the writer has linked the counts
+        self.plain: "np.dtype | None" = None
+        # fill() values not yet sealed into a chunk: scalars as given,
+        # array rows as native-order bytes
+        self.rows: list = []
+        self.pending: "bytes | None" = None  # array row of a fill in check
         self.chunks: list[np.ndarray] = []  # the open basket, flat, disk order
         self.baskets: list[BasketDescriptor] = []
 
@@ -100,8 +113,8 @@ class _Branch:
         if _non_number(type(v)):
             raise self.not_numbers(type(v).__name__)
 
-    def row(self, v) -> np.ndarray:
-        """fill's array value as a new flat row in disk order: ShapeError
+    def row(self, v) -> bytes:
+        """fill's array value as a flat row of native-order bytes: ShapeError
         unless it has the fixed length or, for a var branch, the length of
         its count's lead branch in the same event, and numbers that fit."""
         try:
@@ -116,16 +129,17 @@ class _Branch:
                     f"branch {self.name!r} expects {self.fixed_len} elements, got {n}"
                 )
         elif self.count.lead is not self:  # the lead's row is checked already
-            prev = len(self.count.lead.pending)
+            lead = self.count.lead
+            prev = len(lead.pending) // lead.native.itemsize
             if n != prev:
                 raise ShapeError(
                     f"shared count branch {self.count.name!r} got lengths "
                     f"{prev} and {n} in one event"
                 )
-        row = self.owned(v)
+        row = self.numbers(v)
         if row.ndim != 1:
             raise ShapeError(f"branch {self.name!r} expects a flat sequence")
-        return row
+        return row.tobytes()
 
     def not_numbers(self, what) -> ShapeError:
         return ShapeError(f"branch {self.name!r} takes numbers, got {what}")
@@ -172,40 +186,69 @@ class _Branch:
 
         numpy infers float64 for a Python sequence that mixes ints past the
         int64 range with others (object past uint64), rounding them; for an
-        integer branch such a sequence is converted with the disk dtype
+        integer branch such a sequence is converted with the branch's dtype
         instead, which converts each Python int exactly or raises ShapeError.
+        Object arrays are converted here too, so that a value the branch
+        cannot take (NaN for an integer, 2**1024 for a float) raises
+        ShapeError before extend appends anything. A ragged sequence raises
+        ShapeError as well.
         """
-        arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+        try:
+            arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+        except ValueError:  # numpy cannot shape it
+            raise ShapeError(f"branch {self.name!r} got a ragged sequence") from None
         self.check_numbers(arr)
-        if arr is values or arr.dtype.kind not in "fO" or self.disk.kind not in "iu":
+        if arr.dtype.kind != "O" and (arr is values or arr.dtype.kind != "f"
+                                      or self.disk.kind not in "iu"):
             return arr
-        exact = self.owned(values)
+        exact = self.numbers(values)
         # arrays in the sequence, which it casts unchecked
         self.check_range(arr, inferred=True)
         return exact
 
-    def owned(self, values) -> np.ndarray:
-        """A copy of values in disk order; ShapeError unless they are
-        numbers that fit."""
+    def numbers(self, values) -> np.ndarray:
+        """values as a native-order ndarray, values itself if it is one
+        already; ShapeError unless they are numbers that fit."""
         if isinstance(values, np.ndarray):
             self.check_numbers(values)
             self.check_range(values)
-            return values.astype(self.disk)
+            try:  # an object array's NaN or huge int raises here
+                return np.asarray(values, self.native)
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ShapeError(f"branch {self.name!r}: {exc}") from None
         if isinstance(values, _TEXT):  # would split into characters
             raise self.not_numbers(type(values).__name__)
         types = set(map(type, values))
         if not types <= _PY_NUMBERS:
             self.check_types(types)
-        return self.converted(values)
+        return self.converted(values, self.native)
 
-    def converted(self, values: list) -> np.ndarray:
-        """A list of numbers as a new array in disk order; ShapeError if
-        they do not fit."""
+    def counts(self, values) -> np.ndarray:
+        """extend's per-event element counts of a var branch as u4;
+        ShapeError unless they are a flat sequence of whole numbers that
+        its count branch can hold."""
+        cb = self.count
+        try:  # ValueError: ragged, or an object numpy cannot cast
+            arr = np.asarray(values)
+            cb.check_numbers(arr)
+            cb.check_range(arr)  # negative, too large, NaN or infinite
+            counts = None if arr.dtype.kind == "c" else arr.astype("u4")
+            whole = counts is not None and np.array_equal(counts, arr)
+        except (ValueError, TypeError, OverflowError):
+            whole = False
+        if not whole or counts.ndim != 1:
+            raise ShapeError(f"branch {self.name!r} expects its counts as a "
+                             "flat sequence of whole numbers")
+        return counts
+
+    def converted(self, values: list, dtype: np.dtype) -> np.ndarray:
+        """A list of numbers as a new array of dtype; ShapeError if they do
+        not fit."""
         # numpy casts numpy scalars unchecked, so those become Python numbers
         if self.disk.kind in "iu" and not set(map(type, values)) <= _PY_NUMBERS:
             values = [v.item() if isinstance(v, np.generic) else v for v in values]
         try:  # numpy converts each Python number exactly, or raises
-            return np.array(values, dtype=self.disk)
+            return np.array(values, dtype=dtype)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ShapeError(f"branch {self.name!r}: {exc}") from None
 
@@ -284,6 +327,8 @@ class TreeWriter:
         for i, br in enumerate(self._branches):
             if br.count is not None:
                 br.count_index = self._branches.index(br.count)
+                if br.count.lead is br:  # any length is its own count
+                    br.plain = br.native
 
     # --- filling ---
 
@@ -298,10 +343,16 @@ class TreeWriter:
     def fill(self, **values) -> int:
         """Append one event; returns the entry index it received.
 
-        Every value is checked before any is appended, and array values are
-        copied: a ShapeError appends nothing. Only a scalar its element type
-        cannot hold passes, and closes the writer with a ShapeError once
-        sealed into a chunk (by a flush or an extend)."""
+        Every value is checked before any is appended, and each array value
+        is copied at the call into a row of native-order bytes; the rows of
+        a basket are swapped into disk order once, when it is sealed. A
+        ShapeError appends nothing. Only a scalar its element type cannot
+        hold passes, and closes the writer with a ShapeError once sealed
+        into a chunk (by a flush or an extend).
+
+        A flat ndarray of exactly the native dtype of a var branch that
+        leads its count has nothing to check and is copied at once; every
+        other value takes :meth:`_Branch.row`."""
         if self._closed:
             raise WriterClosed("writer already closed")
         if values.keys() != self._user_names:
@@ -311,7 +362,10 @@ class TreeWriter:
                 self._by_name[name].check_scalar(values[name])
         if self._arrays:
             for br in self._arrays:
-                br.pending = br.row(values[br.name])
+                v = values[br.name]
+                br.pending = (v.tobytes() if type(v) is _NDARRAY
+                              and v.dtype is br.plain and v.ndim == 1
+                              else br.row(v))
             for br in self._arrays:
                 br.rows.append(br.pending)
         for name, append in self._scalars:
@@ -352,8 +406,7 @@ class TreeWriter:
             else:
                 if isinstance(v, tuple) and len(v) == 2:
                     flat = br.exact(v[0])
-                    br.check_numbers(np.asarray(v[1]))
-                    counts = np.asarray(v[1], dtype="u4")
+                    counts = br.counts(v[1])
                 else:  # joined as one sequence: rows' dtypes cannot promote
                     try:
                         rows = list(v)
@@ -433,13 +486,15 @@ class TreeWriter:
                 if not rows:
                     continue
                 if br.kind is ShapeKind.SCALAR:  # checked for type by fill
-                    br.chunks.append(br.converted(rows))
-                else:  # rows are already in disk order
-                    br.chunks.append(np.concatenate(rows, dtype=br.disk))
+                    br.chunks.append(br.converted(rows, br.disk))
+                else:  # native-order row bytes, swapped once
+                    br.chunks.append(np.frombuffer(b"".join(rows), br.native)
+                                     .astype(br.disk))
                     cb = br.count
                     if cb is not None and cb.lead is br:
+                        nbytes = np.fromiter(map(len, rows), "i8", len(rows))
                         cb.chunks.append(
-                            np.fromiter(map(len, rows), cb.disk, len(rows)))
+                            (nbytes // br.native.itemsize).astype(cb.disk))
                 rows.clear()  # in place: fill holds the bound append
         except ShapeError:
             self._abandon()

@@ -242,3 +242,62 @@ def test_basket_running_into_the_footer_is_truncated(tmp_path, ramp_file):
             with pytest.raises(DecompressError):
                 read()
     assert not bench.verify(bad).passed
+
+
+# --- deserializing swaps through unsigned views of the element width ---
+
+_BITS = {  # element type -> bit patterns to write, NaN payloads included
+    ElementType.I16: [0, 1, 0x7FFF, 0x8000, 0xFFFF, 0x1234],
+    ElementType.U16: [0, 1, 0x7FFF, 0x8000, 0xFFFF, 0x1234],
+    ElementType.I32: [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0x12345678],
+    ElementType.U32: [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0x12345678],
+    # quiet and signalling NaNs with payloads, both signs, and infinity
+    ElementType.F32: [0x7FC00000, 0x7FA00001, 0xFFC12345, 0x7F800001,
+                      0x7F800000, 0x80000000],
+    ElementType.I64: [0, 1, 0x7FFFFFFFFFFFFFFF, 0x8000000000000000,
+                      0xFFFFFFFFFFFFFFFF, 0x0123456789ABCDEF],
+    ElementType.U64: [0, 1, 0x7FFFFFFFFFFFFFFF, 0x8000000000000000,
+                      0xFFFFFFFFFFFFFFFF, 0x0123456789ABCDEF],
+    ElementType.F64: [0x7FF8000000000000, 0x7FF0000000000001,
+                      0xFFF123456789ABCD, 0x7FF4000000000000,
+                      0x7FF0000000000000, 0x8000000000000000],
+}
+
+
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE], ids=lambda c: c.name)
+@pytest.mark.parametrize("etype", list(_BITS), ids=lambda t: t.name)
+def test_deserialized_baskets_keep_every_bit(tmp_path, etype, codec):
+    """Widths 2, 4 and 8: the deserialized basket holds the written bit
+    patterns, NaN payloads included, and the serialized copy their
+    big-endian bytes."""
+    w = etype.width_bytes
+    bits = np.array(_BITS[etype] * 3, dtype=f"u{w}")
+    values = bits.view(etype.np_native)
+    path = tmp_path / "bits.bkio"
+    with TreeWriter(path, [("x", etype, scalar())], basket_capacity_entries=5,
+                    codec=codec) as wr:
+        wr.extend(x=values)
+    buf = BulkBuffer()
+    with TreeFile(path) as tf:
+        rd = tf.branch("x")
+        for start in range(0, len(bits), 5):
+            n = rd.get_bulk_entries(start, buf)
+            assert buf.as_array().dtype == np.dtype(etype.np_native)
+            assert buf.as_array().view(f"u{w}").tolist() == bits[start:start + n].tolist()
+            rd.get_entries_serialized(start, buf)
+            assert buf.to_bytes() == bits[start:start + n].astype(f">u{w}").tobytes()
+
+
+@pytest.mark.parametrize("etype", [ElementType.BOOL, ElementType.I8, ElementType.U8],
+                         ids=lambda t: t.name)
+def test_one_byte_baskets_deserialize_verbatim(tmp_path, etype):
+    raw = np.array([0, 1, 1, 0, 1] if etype is ElementType.BOOL
+                   else [0, 1, 0x7F, 0x80, 0xFF], dtype="u1")
+    path = tmp_path / "bytes.bkio"
+    with TreeWriter(path, [("x", etype, scalar())]) as wr:
+        wr.extend(x=raw.view(etype.np_native))
+    buf = BulkBuffer()
+    with TreeFile(path) as tf:
+        tf.branch("x").get_bulk_entries(0, buf)
+    assert buf.as_array().dtype == np.dtype(etype.np_native)
+    assert buf.to_bytes() == raw.tobytes()

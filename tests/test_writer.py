@@ -25,6 +25,7 @@ from conftest import (
     ALL_TYPES,
     assert_three_way_roundtrip,
     make_events,
+    random_elements,
     write_events,
 )
 
@@ -695,3 +696,181 @@ def test_python_and_numpy_numbers_fill_the_same_bytes(tmp_path):
                 w.fill(x=v, a=[v])
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# --- fill's array rows: native-order bytes, swapped once per basket ---
+
+class _Sub(np.ndarray):
+    """An ndarray subclass: fill must not take it for a plain array."""
+
+
+# a dtype that holds every value of the type exactly, other than its own
+_OTHER_DTYPE = {
+    ElementType.I8: "i2", ElementType.U8: "u2", ElementType.I16: "i4",
+    ElementType.U16: "u4", ElementType.I32: "i8", ElementType.U32: "i8",
+    ElementType.I64: "O", ElementType.U64: "O", ElementType.F32: "f8",
+    ElementType.F64: "O", ElementType.BOOL: "u1",
+}
+
+
+def _containers(etype):
+    """Ways to hand fill one row, each taking a native array: a native
+    array, a strided view, big-endian, a list, another dtype, a subclass."""
+    return [
+        lambda r: r,
+        lambda r: np.repeat(r, 2)[::2],
+        lambda r: r.astype(r.dtype.newbyteorder(">")),
+        lambda r: r.tolist(),
+        lambda r: r.astype(_OTHER_DTYPE[etype]),
+        lambda r: r.view(_Sub),
+    ]
+
+
+def _follower_type(etype):
+    return ElementType.I8 if etype is ElementType.F64 else ElementType.F64
+
+
+def _row_schema(etype, shape_name):
+    if shape_name == "fixed":
+        return [("x", etype, fixed_array(3))]
+    if shape_name == "var":
+        return [("x", etype, var_array())]
+    # shared: the lead and a follower of another width share one count
+    return [("x", etype, var_array(count_name="n")),
+            ("y", _follower_type(etype), var_array(count_name="n"))]
+
+
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE],
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("shape_name", ["fixed", "var", "shared"])
+@pytest.mark.parametrize("etype", ALL_TYPES, ids=lambda t: t.name)
+def test_fill_row_containers_write_the_bytes_of_extend(tmp_path, rng, etype,
+                                                      shape_name, codec):
+    """Rows of every container, mixed inside each basket, write the bytes
+    extend writes, for capacities that do not divide the number of events."""
+    schema = _row_schema(etype, shape_name)
+    n = 50
+    shape = schema[0][2]
+    events = make_events(rng, etype, shape, n)
+    if shape_name == "shared":
+        follow = [random_elements(rng, schema[1][1], len(r)) for r in events]
+        follow_ways = _containers(schema[1][1])
+    ways = _containers(etype)
+    if shape_name != "fixed":
+        ways.append(lambda r: [] if not len(r) else r)  # empty rows as lists
+    for cap in (1, 7, 64):
+        ref = tmp_path / f"extend-{cap}.bkio"
+        with TreeWriter(ref, schema, basket_capacity_entries=cap,
+                        codec=codec) as w:
+            cols = {"x": _extend_args(etype, shape, events)}
+            if shape_name == "shared":
+                cols["y"] = _extend_args(schema[1][1], shape, follow)
+            w.extend(**cols)
+        path = tmp_path / f"fill-{cap}.bkio"
+        with TreeWriter(path, schema, basket_capacity_entries=cap,
+                        codec=codec) as w:
+            for i, r in enumerate(events):
+                way = ways[i % len(ways)]
+                row = {"x": way(r)}
+                if shape_name == "shared":
+                    row["y"] = follow_ways[i % len(follow_ways)](follow[i])
+                w.fill(**row)
+        assert path.read_bytes() == ref.read_bytes(), cap
+
+
+@pytest.mark.parametrize("schema_name", ["var", "fixed", "shared"])
+def test_fill_rows_are_copied_at_the_call(tmp_path, schema_name):
+    """Overwriting every buffer handed to fill, right after each call,
+    changes nothing in the file, on the plain-array path too."""
+    etype = ElementType.I32
+    schema = _row_schema(etype, schema_name)
+    rows = [np.arange(3 if schema_name == "fixed" else i % 4, dtype="i4") + i
+            for i in range(20)]
+    paths = []
+    for mutate in (False, True):
+        path = tmp_path / f"copy-{mutate}.bkio"
+        with TreeWriter(path, schema, basket_capacity_entries=6) as w:
+            for r in rows:
+                buf = r.copy()
+                view = np.repeat(buf, 2)[::2]
+                if schema_name == "shared":
+                    other = buf.astype("f8")
+                    w.fill(x=buf, y=other)
+                else:
+                    w.fill(x=buf)
+                    other = view.base
+                    w.fill(x=view)
+                if mutate:
+                    buf[...] = -7
+                    other[...] = -7
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("shape,column", [
+    (fixed_array(2), [[1, 2], [3]]),
+    (scalar(), [[1], 2]),
+    (var_array(), [[[1]], [2]]),
+    (var_array(), (np.ones(2), [-1, 3])),
+    (var_array(), (np.ones(2), [1.5, 0.5])),
+    (var_array(), (np.ones(2), [1.5, 1.5])),
+    (var_array(), (np.ones(2), [np.nan, 2])),
+    (var_array(), (np.ones(2), [2**70, 2])),
+    (var_array(), (np.ones(2), np.array([-1, 3]))),
+    (var_array(), (np.ones(1), np.array([0.5, 1.5]))),
+    (var_array(), (np.ones(2), np.array([2**32 + 2, 0], dtype="i8"))),
+    (var_array(), (np.ones(2), np.array([1 + 1j, 1]))),
+    (var_array(), (np.ones(2), [[1], [1]])),
+    (var_array(), (np.ones(2), [[1], 1])),
+], ids=["fixed-ragged", "scalar-ragged", "var-ragged-values", "negative-count",
+        "fractional-counts", "fractional-counts-sum", "nan-count",
+        "huge-count", "negative-count-array", "fractional-count-array",
+        "count-past-u32", "complex-count", "2d-counts", "ragged-counts"])
+def test_extend_rejects_malformed_input_before_appending(tmp_path, shape, column):
+    """Ragged sequences and counts that are not whole numbers in the u32
+    range raise ShapeError, and the call appends nothing."""
+    path = tmp_path / "bad.bkio"
+    with TreeWriter(path, [("x", ElementType.F64, shape)],
+                    basket_capacity_entries=2) as w:
+        with pytest.raises(ShapeError):
+            w.extend(x=column)
+        assert w.n_entries == 0
+    with TreeFile(path) as tf:
+        assert tf.n_entries == 0
+
+
+def test_extend_accepts_whole_float_counts(tmp_path):
+    paths = []
+    for counts in ([2, 0, 1], [2.0, 0.0, 1.0]):
+        path = tmp_path / f"{type(counts[0]).__name__}.bkio"
+        with TreeWriter(path, [("v", ElementType.I16, var_array())]) as w:
+            w.extend(v=(np.array([4, 5, 6], "i2"), counts))
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("etype,shape,column", [
+    (ElementType.U32, scalar(), np.array([1, np.nan, 2], dtype=object)),
+    (ElementType.F64, scalar(), [2**1024, 1.0, 2.0]),
+    (ElementType.F64, scalar(), np.array([2**1024, 1.0, 2.0], dtype=object)),
+    (ElementType.U32, fixed_array(1), np.array([[np.nan], [1], [2]], dtype=object)),
+    (ElementType.U32, var_array(), (np.array([1, np.nan, 2], dtype=object), [1, 1, 1])),
+    (ElementType.F64, var_array(), [[2**1024], [1.0], []]),
+], ids=["object-nan", "huge-int-list", "huge-int-object", "fixed-object-nan",
+        "var-object-nan", "var-huge-int-rows"])
+def test_values_the_branch_cannot_take_append_nothing(tmp_path, etype, shape, column):
+    """A value numpy cannot convert to the branch's type raises ShapeError
+    before any branch is appended to, in extend and in fill."""
+    path = tmp_path / "objects.bkio"
+    schema = [("a", ElementType.U32, scalar()), ("x", etype, shape)]
+    with TreeWriter(path, schema, basket_capacity_entries=2) as w:
+        with pytest.raises(ShapeError):
+            w.extend(a=np.arange(3), x=column)
+        if shape.kind is not ShapeKind.SCALAR and not isinstance(column, tuple):
+            with pytest.raises(ShapeError):
+                w.fill(a=0, x=column[0])
+        assert w.n_entries == 0
+        good = [1] * 3 if shape.kind is ShapeKind.SCALAR else [[1]] * 3
+        w.extend(a=np.arange(3), x=_extend_args(etype, shape, good))
+    # a stray chunk of the rejected call would make the footer inconsistent
+    assert _read_all(path, "a") == [0, 1, 2]
