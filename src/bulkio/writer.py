@@ -19,9 +19,9 @@ the writer with a ShapeError.
 A branch's open basket is a list of disk-order chunks. ``extend`` has one
 path, adding a chunk per basket it touches, and a flush joins them.
 ``fill`` keeps scalars as they came and each array row as its own
-native-order bytes; sealing the basket turns an array branch's rows into
-one chunk with a single swap into disk order, and its count branch's
-chunk into the rows' lengths.
+native-order bytes; sealing the basket joins an array branch's rows into
+one chunk, swapped into disk order in place, and makes its count branch's
+chunk from the rows' lengths.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ _NUMBER_TYPES = _PY_NUMBERS | {
     np.dtype(c).type for c in "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]}
 _TEXT = (str, bytes, bytearray)
 _NDARRAY = np.ndarray
+_FIXED_ARRAY = ShapeKind.FIXED_ARRAY  # a global is cheaper than an enum lookup
 
 
 def _non_number(t: type) -> bool:
@@ -80,7 +81,7 @@ class WriteStats:
 class _Branch:
     __slots__ = (
         "name", "etype", "kind", "fixed_len", "count", "lead", "disk", "native",
-        "plain", "rows", "pending", "chunks", "baskets", "count_index",
+        "rows", "pending", "chunks", "baskets", "count_index",
     )
 
     def __init__(self, name: str, etype: ElementType, kind: ShapeKind,
@@ -95,9 +96,6 @@ class _Branch:
         # BOOL is stored as u1 bytes 0/1; casting through bool gives exactly that
         self.disk = np.dtype(bool if etype is ElementType.BOOL else etype.np_disk)
         self.native = np.dtype(etype.np_native)
-        # dtype of the rows fill copies without a check: set for a var
-        # branch leading its count, once the writer has linked the counts
-        self.plain: "np.dtype | None" = None
         # fill() values not yet sealed into a chunk: scalars as given,
         # array rows as native-order bytes
         self.rows: list = []
@@ -116,14 +114,16 @@ class _Branch:
     def row(self, v) -> bytes:
         """fill's array value as a flat row of native-order bytes: ShapeError
         unless it has the fixed length or, for a var branch, the length of
-        its count's lead branch in the same event, and numbers that fit."""
+        its count's lead branch in the same event, and numbers that fit.
+        A flat ndarray of exactly the native dtype has nothing more to check
+        and is copied as it is."""
         try:
             n = len(v)
         except TypeError:
             raise ShapeError(
                 f"branch {self.name!r} is an array branch, got a scalar"
             ) from None
-        if self.kind is ShapeKind.FIXED_ARRAY:
+        if self.kind is _FIXED_ARRAY:
             if n != self.fixed_len:
                 raise ShapeError(
                     f"branch {self.name!r} expects {self.fixed_len} elements, got {n}"
@@ -136,6 +136,8 @@ class _Branch:
                     f"shared count branch {self.count.name!r} got lengths "
                     f"{prev} and {n} in one event"
                 )
+        if type(v) is _NDARRAY and v.dtype is self.native and v.ndim == 1:
+            return v.tobytes()
         row = self.numbers(v)
         if row.ndim != 1:
             raise ShapeError(f"branch {self.name!r} expects a flat sequence")
@@ -198,8 +200,9 @@ class _Branch:
         except ValueError:  # numpy cannot shape it
             raise ShapeError(f"branch {self.name!r} got a ragged sequence") from None
         self.check_numbers(arr)
-        if arr.dtype.kind != "O" and (arr is values or arr.dtype.kind != "f"
-                                      or self.disk.kind not in "iu"):
+        if arr.dtype.kind == "O":  # converted value by value, or ShapeError
+            return self.numbers(values)
+        if arr is values or arr.dtype.kind != "f" or self.disk.kind not in "iu":
             return arr
         exact = self.numbers(values)
         # arrays in the sequence, which it casts unchecked
@@ -327,8 +330,6 @@ class TreeWriter:
         for i, br in enumerate(self._branches):
             if br.count is not None:
                 br.count_index = self._branches.index(br.count)
-                if br.count.lead is br:  # any length is its own count
-                    br.plain = br.native
 
     # --- filling ---
 
@@ -348,11 +349,7 @@ class TreeWriter:
         a basket are swapped into disk order once, when it is sealed. A
         ShapeError appends nothing. Only a scalar its element type cannot
         hold passes, and closes the writer with a ShapeError once sealed
-        into a chunk (by a flush or an extend).
-
-        A flat ndarray of exactly the native dtype of a var branch that
-        leads its count has nothing to check and is copied at once; every
-        other value takes :meth:`_Branch.row`."""
+        into a chunk (by a flush or an extend)."""
         if self._closed:
             raise WriterClosed("writer already closed")
         if values.keys() != self._user_names:
@@ -362,10 +359,7 @@ class TreeWriter:
                 self._by_name[name].check_scalar(values[name])
         if self._arrays:
             for br in self._arrays:
-                v = values[br.name]
-                br.pending = (v.tobytes() if type(v) is _NDARRAY
-                              and v.dtype is br.plain and v.ndim == 1
-                              else br.row(v))
+                br.pending = br.row(values[br.name])
             for br in self._arrays:
                 br.rows.append(br.pending)
         for name, append in self._scalars:
@@ -487,14 +481,18 @@ class TreeWriter:
                     continue
                 if br.kind is ShapeKind.SCALAR:  # checked for type by fill
                     br.chunks.append(br.converted(rows, br.disk))
-                else:  # native-order row bytes, swapped once
-                    br.chunks.append(np.frombuffer(b"".join(rows), br.native)
-                                     .astype(br.disk))
+                else:  # native-order row bytes: joined, then swapped in place
+                    chunk = np.frombuffer(bytearray().join(rows), br.native)
+                    width = br.native.itemsize
+                    if br.disk != br.native:  # through unsigned views: bit-exact
+                        np.copyto(chunk.view(f">u{width}"), chunk.view(f"u{width}"))
+                    br.chunks.append(chunk.view(br.disk))
                     cb = br.count
                     if cb is not None and cb.lead is br:
-                        nbytes = np.fromiter(map(len, rows), "i8", len(rows))
-                        cb.chunks.append(
-                            (nbytes // br.native.itemsize).astype(cb.disk))
+                        lengths = np.fromiter(map(len, rows), cb.disk, len(rows))
+                        if width > 1:  # row bytes to elements
+                            lengths //= width
+                        cb.chunks.append(lengths)
                 rows.clear()  # in place: fill holds the bound append
         except ShapeError:
             self._abandon()

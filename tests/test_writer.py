@@ -574,6 +574,14 @@ def _bad_values(etype, shape):
         bad.append([70000] * max(shape.fixed_len, 1))  # out of range
     if shape.count_name:  # good rows are at most 2 long
         bad.append([1.0] * 5)
+    if shape.kind is not ShapeKind.SCALAR:  # arrays of the native dtype too
+        native = np.dtype(etype.np_native)
+        k = max(shape.fixed_len, 1)
+        bad.append(np.zeros((k, 1), native))
+        if shape.kind is ShapeKind.FIXED_ARRAY:
+            bad.append(np.zeros(k + 1, native))
+        if shape.count_name:
+            bad.append(np.ones(5, native))
     return bad
 
 
@@ -781,7 +789,7 @@ def test_fill_row_containers_write_the_bytes_of_extend(tmp_path, rng, etype,
 @pytest.mark.parametrize("schema_name", ["var", "fixed", "shared"])
 def test_fill_rows_are_copied_at_the_call(tmp_path, schema_name):
     """Overwriting every buffer handed to fill, right after each call,
-    changes nothing in the file, on the plain-array path too."""
+    changes nothing in the file, for arrays of the native dtype too."""
     etype = ElementType.I32
     schema = _row_schema(etype, schema_name)
     rows = [np.arange(3 if schema_name == "fixed" else i % 4, dtype="i4") + i
