@@ -10,11 +10,14 @@ rows of the first branch sharing it, taken when a basket is sealed.
 may reuse their buffers. Each call checks all its values before it
 appends any, and raises ShapeError for a missing or unknown branch, a
 value of the wrong shape or length, a ragged sequence, counts that
-disagree or are not whole numbers, text, bytes or None where numbers
-belong (Python or numpy numbers: text would be parsed), and array values
-the branch's type cannot hold. Only a filled scalar out
-of its type's range is found later, when its basket is sealed: that fails
-the writer with a ShapeError.
+disagree or are not whole numbers, and any value that breaks the one
+conversion rule, whatever its container: a branch takes only real
+numbers (Python or numpy bools, ints and floats); an integer type takes
+ints it holds, exactly, and finite floats in [min, max + 1), truncated; a
+float type takes each number as float() makes it, rounded to the type,
+and rejects a finite value past F32's range; BOOL takes each number's
+truth. Only a filled scalar that is a real number but does not fit is
+found later, when its basket is sealed: that fails the writer.
 
 A branch's open basket is a list of disk-order chunks. ``extend`` has one
 path, adding a chunk per basket it touches, and a flush joins them.
@@ -52,21 +55,14 @@ DEFAULT_BASKET_CAPACITY = 8192
 
 _U64 = struct.Struct(">Q")
 _PY_NUMBERS = frozenset((int, float, bool))
-# numpy dtype kinds of numbers: bool, integers, floats, complex
-_NUMBER_KINDS = "biufc"
+# the real numbers a branch takes: Python or numpy bools, ints and floats
+_REAL = (int, float, np.bool_, np.integer, np.floating)
 # fill's one type test per scalar: anything else takes _Branch.check_scalar
 _NUMBER_TYPES = _PY_NUMBERS | {
     np.dtype(c).type for c in "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]}
 _TEXT = (str, bytes, bytearray)
 _NDARRAY = np.ndarray
 _FIXED_ARRAY = ShapeKind.FIXED_ARRAY  # a global is cheaper than an enum lookup
-
-
-def _non_number(t: type) -> bool:
-    """Whether values of type t are None, text or a numpy non-number."""
-    if issubclass(t, np.generic):
-        return np.dtype(t).kind not in _NUMBER_KINDS
-    return t is type(None) or issubclass(t, _TEXT)
 
 SchemaEntry = tuple[str, ElementType, BranchShape]
 
@@ -81,7 +77,7 @@ class WriteStats:
 class _Branch:
     __slots__ = (
         "name", "etype", "kind", "fixed_len", "count", "lead", "disk", "native",
-        "rows", "pending", "chunks", "baskets", "count_index",
+        "bounds", "misfit", "rows", "pending", "chunks", "baskets", "count_index",
     )
 
     def __init__(self, name: str, etype: ElementType, kind: ShapeKind,
@@ -96,6 +92,10 @@ class _Branch:
         # BOOL is stored as u1 bytes 0/1; casting through bool gives exactly that
         self.disk = np.dtype(bool if etype is ElementType.BOOL else etype.np_disk)
         self.native = np.dtype(etype.np_native)
+        # an integer type holds [min, max + 1); other types have no bounds
+        info = np.iinfo(self.native) if self.native.kind in "iu" else None
+        self.bounds = None if info is None else (info.min, info.max + 1)
+        self.misfit = f"branch {name!r}: values do not fit {etype.name}"
         # fill() values not yet sealed into a chunk: scalars as given,
         # array rows as native-order bytes
         self.rows: list = []
@@ -105,10 +105,10 @@ class _Branch:
 
     def check_scalar(self, v) -> None:
         """fill's check of a scalar whose type is not a known number type:
-        sequences, text, bytes, None and numpy non-numbers raise ShapeError."""
+        ShapeError unless it is a real number (see _REAL)."""
         if isinstance(v, (list, tuple, np.ndarray, bytes)):
             raise ShapeError(f"branch {self.name!r} is scalar, got a sequence")
-        if _non_number(type(v)):
+        if not isinstance(v, _REAL):
             raise self.not_numbers(type(v).__name__)
 
     def row(self, v) -> bytes:
@@ -138,7 +138,7 @@ class _Branch:
                 )
         if type(v) is _NDARRAY and v.dtype is self.native and v.ndim == 1:
             return v.tobytes()
-        row = self.numbers(v)
+        row = self.values(v)
         if row.ndim != 1:
             raise ShapeError(f"branch {self.name!r} expects a flat sequence")
         return row.tobytes()
@@ -146,114 +146,67 @@ class _Branch:
     def not_numbers(self, what) -> ShapeError:
         return ShapeError(f"branch {self.name!r} takes numbers, got {what}")
 
-    def check_types(self, types: set) -> None:
-        """ShapeError if values of one of these types are not numbers."""
-        bad = next(filter(_non_number, types), None)
-        if bad is not None:
-            raise self.not_numbers(bad.__name__)
-
-    def check_numbers(self, arr: np.ndarray) -> None:
-        """ShapeError unless arr holds numbers: numpy would parse text."""
-        kind = arr.dtype.kind
-        if kind == "O":
-            self.check_types(set(map(type, arr.flat)))
-        elif kind not in _NUMBER_KINDS:
-            raise self.not_numbers(arr.dtype)
-
-    def check_range(self, arr: np.ndarray, inferred: bool = False) -> None:
-        """Reject values the element type cannot hold (casts would wrap).
-
-        Floats must be finite and below ``info.max + 1``, computed in floats:
-        ``info.max`` itself may round up to it. With ``inferred``, ``arr`` is
-        numpy's float reading of a sequence whose Python ints are converted
-        exactly elsewhere, so a value equal to that rounded bound passes.
-        """
-        # dtype <= dtype is numpy's cheap spelling of can_cast(..., "safe")
-        if arr.dtype <= self.disk or self.disk.kind not in "iu" or not arr.size:
-            return
-        info = np.iinfo(self.disk)
-        lo, hi = arr.min(), arr.max()
-        if arr.dtype.kind == "f":  # NaN passes every comparison as false
-            top = float(info.max) + 1
-            bad = (not (np.isfinite(lo) and np.isfinite(hi))
-                   or (hi > top if inferred else hi >= top))
-        else:
-            bad = hi > info.max
-        if bad or lo < info.min:
-            raise ShapeError(f"branch {self.name!r}: values outside "
-                             f"[{info.min}, {info.max}] do not fit {self.etype.name}")
-
-    def exact(self, values) -> np.ndarray:
-        """values as an array of numbers that keeps every integer exact.
-
-        numpy infers float64 for a Python sequence that mixes ints past the
-        int64 range with others (object past uint64), rounding them; for an
-        integer branch such a sequence is converted with the branch's dtype
-        instead, which converts each Python int exactly or raises ShapeError.
-        Object arrays are converted here too, so that a value the branch
-        cannot take (NaN for an integer, 2**1024 for a float) raises
-        ShapeError before extend appends anything. A ragged sequence raises
-        ShapeError as well.
-        """
+    def values(self, v) -> np.ndarray:
+        """v as a native-dtype ndarray, shaped as numpy shapes it (v itself
+        if it is one); ShapeError unless the module docstring's rule takes
+        every value. An array of numbers is checked by its min and max. For
+        an integer type a sequence, and any object array, goes value by value
+        as Python numbers, as numpy casts numpy scalars unchecked."""
+        shape = None  # v's shape, once its objects are a flat list
+        if type(v) is not list or self.bounds is None \
+                or not set(map(type, v)) <= _PY_NUMBERS:
+            if isinstance(v, _TEXT):  # would split into characters
+                raise self.not_numbers(type(v).__name__)
+            if not isinstance(v, np.ndarray):
+                try:  # objects for an integer type: float64 would round big ints
+                    v = np.asarray(v, dtype=None if self.bounds is None else object)
+                except ValueError:  # numpy cannot shape it
+                    raise ShapeError(
+                        f"branch {self.name!r} got a ragged sequence") from None
+            kind = v.dtype.kind
+            if kind == "O":
+                shape, v = v.shape, v.ravel().tolist()
+                types = set(map(type, v))
+                bad = next((t for t in types if not issubclass(t, _REAL)), None)
+                if bad is not None:
+                    raise self.not_numbers(bad.__name__)
+                if not types <= _PY_NUMBERS:
+                    v = [float(x) if isinstance(x, np.floating) else
+                         x.item() if isinstance(x, np.generic) else x for x in v]
+            elif kind not in "biuf":
+                raise self.not_numbers(v.dtype)
+            elif v.dtype.itemsize > 8 or (kind in "iu" and self.native.kind == "f"):
+                # long doubles, and ints for a float type: float64 first, as float()
+                with np.errstate(over="ignore"):
+                    v = v.astype(np.float64)
+        bounds = self.bounds
+        if bounds is not None and type(v) is not list and v.size \
+                and not v.dtype <= self.native:
+            # compared as Python numbers, exactly; NaN fails
+            if not (bounds[0] <= v.min().item() and v.max().item() < bounds[1]):
+                raise ShapeError(self.misfit)
         try:
-            arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-        except ValueError:  # numpy cannot shape it
-            raise ShapeError(f"branch {self.name!r} got a ragged sequence") from None
-        self.check_numbers(arr)
-        if arr.dtype.kind == "O":  # converted value by value, or ShapeError
-            return self.numbers(values)
-        if arr is values or arr.dtype.kind != "f" or self.disk.kind not in "iu":
-            return arr
-        exact = self.numbers(values)
-        # arrays in the sequence, which it casts unchecked
-        self.check_range(arr, inferred=True)
-        return exact
-
-    def numbers(self, values) -> np.ndarray:
-        """values as a native-order ndarray, values itself if it is one
-        already; ShapeError unless they are numbers that fit."""
-        if isinstance(values, np.ndarray):
-            self.check_numbers(values)
-            self.check_range(values)
-            try:  # an object array's NaN or huge int raises here
-                return np.asarray(values, self.native)
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise ShapeError(f"branch {self.name!r}: {exc}") from None
-        if isinstance(values, _TEXT):  # would split into characters
-            raise self.not_numbers(type(values).__name__)
-        types = set(map(type, values))
-        if not types <= _PY_NUMBERS:
-            self.check_types(types)
-        return self.converted(values, self.native)
+            if self.etype is ElementType.F32 and (type(v) is list or v.itemsize > 4):
+                with np.errstate(over="raise"):  # a finite value past F32's range
+                    out = np.asarray(v, dtype=self.native)
+            else:
+                out = np.asarray(v, dtype=self.native)
+        except (OverflowError, ValueError, FloatingPointError):
+            raise ShapeError(self.misfit) from None
+        # a Python float in (min - 1, min) would truncate to min
+        if bounds is not None and type(v) is list and v and min(v) < bounds[0]:
+            raise ShapeError(self.misfit)
+        return out if shape is None else out.reshape(shape)
 
     def counts(self, values) -> np.ndarray:
         """extend's per-event element counts of a var branch as u4;
         ShapeError unless they are a flat sequence of whole numbers that
         its count branch can hold."""
-        cb = self.count
-        try:  # ValueError: ragged, or an object numpy cannot cast
-            arr = np.asarray(values)
-            cb.check_numbers(arr)
-            cb.check_range(arr)  # negative, too large, NaN or infinite
-            counts = None if arr.dtype.kind == "c" else arr.astype("u4")
-            whole = counts is not None and np.array_equal(counts, arr)
-        except (ValueError, TypeError, OverflowError):
-            whole = False
-        if not whole or counts.ndim != 1:
+        counts = self.count.values(values)
+        if counts.ndim != 1 or not np.array_equal(counts, values):
             raise ShapeError(f"branch {self.name!r} expects its counts as a "
                              "flat sequence of whole numbers")
         return counts
-
-    def converted(self, values: list, dtype: np.dtype) -> np.ndarray:
-        """A list of numbers as a new array of dtype; ShapeError if they do
-        not fit."""
-        # numpy casts numpy scalars unchecked, so those become Python numbers
-        if self.disk.kind in "iu" and not set(map(type, values)) <= _PY_NUMBERS:
-            values = [v.item() if isinstance(v, np.generic) else v for v in values]
-        try:  # numpy converts each Python number exactly, or raises
-            return np.array(values, dtype=dtype)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ShapeError(f"branch {self.name!r}: {exc}") from None
 
     def descriptor(self) -> BranchDescriptor:
         if self.kind is ShapeKind.FIXED_ARRAY:
@@ -347,9 +300,9 @@ class TreeWriter:
         Every value is checked before any is appended, and each array value
         is copied at the call into a row of native-order bytes; the rows of
         a basket are swapped into disk order once, when it is sealed. A
-        ShapeError appends nothing. Only a scalar its element type cannot
-        hold passes, and closes the writer with a ShapeError once sealed
-        into a chunk (by a flush or an extend)."""
+        ShapeError appends nothing. Only a real scalar its element type
+        cannot hold passes, and closes the writer with a ShapeError once
+        sealed into a chunk (by a flush or an extend)."""
         if self._closed:
             raise WriterClosed("writer already closed")
         if values.keys() != self._user_names:
@@ -375,7 +328,7 @@ class TreeWriter:
 
         Scalar branches take a 1-D array, fixed arrays an (n, k) array, and
         var arrays either a (flat_values, counts) pair or a sequence of rows.
-        Integers the element type cannot hold raise ShapeError, appending none.
+        A value the conversion rule rejects raises ShapeError, appending none.
         """
         self._check_open()
         self._check_arity(arrays)
@@ -387,7 +340,7 @@ class TreeWriter:
         for br in self._user:
             v = arrays[br.name]
             if br.kind is not ShapeKind.VAR_ARRAY:
-                arr = br.exact(v)
+                arr = br.values(v)
                 if br.kind is ShapeKind.SCALAR and arr.ndim != 1:
                     raise ShapeError(f"branch {br.name!r} expects a 1-D array")
                 if br.kind is ShapeKind.FIXED_ARRAY and (
@@ -399,20 +352,19 @@ class TreeWriter:
                 sources.append((br, arr, None))
             else:
                 if isinstance(v, tuple) and len(v) == 2:
-                    flat = br.exact(v[0])
+                    flat = br.values(v[0])
                     counts = br.counts(v[1])
-                else:  # joined as one sequence: rows' dtypes cannot promote
+                else:  # rows, each converted as fill converts its row
                     try:
-                        rows = list(v)
-                        counts = np.asarray([len(r) for r in rows], dtype="u4")
+                        rows = [br.values(r) for r in v]
                     except TypeError:
                         raise ShapeError(
                             f"branch {br.name!r} expects a sequence of rows"
                         ) from None
-                    text = next((r for r in rows if isinstance(r, _TEXT)), None)
-                    if text is not None:  # would split into characters
-                        raise br.not_numbers(type(text).__name__)
-                    flat = br.exact([x for r in rows for x in r])
+                    if any(r.ndim != 1 for r in rows):
+                        raise ShapeError(f"branch {br.name!r} expects flat rows")
+                    counts = np.fromiter(map(len, rows), "u4", len(rows))
+                    flat = np.concatenate(rows) if rows else np.empty(0, br.native)
                 if counts.ndim != 1 or flat.ndim != 1:
                     raise ShapeError(f"branch {br.name!r}: malformed var input")
                 if int(counts.sum()) != len(flat):
@@ -434,8 +386,6 @@ class TreeWriter:
                 sources.append((br, flat, offsets))
         if len(set(lengths.values())) > 1:
             raise ShapeError(f"branches got differing numbers of events: {lengths}")
-        for br, column, _ in sources:
-            br.check_range(column)
         m = lengths.popitem()[1]
         if m == 0:
             return 0
@@ -480,19 +430,19 @@ class TreeWriter:
                 if not rows:
                     continue
                 if br.kind is ShapeKind.SCALAR:  # checked for type by fill
-                    br.chunks.append(br.converted(rows, br.disk))
-                else:  # native-order row bytes: joined, then swapped in place
+                    chunk = br.values(rows)
+                else:  # native-order row bytes, joined
                     chunk = np.frombuffer(bytearray().join(rows), br.native)
-                    width = br.native.itemsize
-                    if br.disk != br.native:  # through unsigned views: bit-exact
-                        np.copyto(chunk.view(f">u{width}"), chunk.view(f"u{width}"))
-                    br.chunks.append(chunk.view(br.disk))
                     cb = br.count
                     if cb is not None and cb.lead is br:
                         lengths = np.fromiter(map(len, rows), cb.disk, len(rows))
-                        if width > 1:  # row bytes to elements
-                            lengths //= width
+                        if chunk.itemsize > 1:  # row bytes to elements
+                            lengths //= chunk.itemsize
                         cb.chunks.append(lengths)
+                width = chunk.itemsize
+                if br.disk != br.native:  # in place, through unsigned views
+                    np.copyto(chunk.view(f">u{width}"), chunk.view(f"u{width}"))
+                br.chunks.append(chunk.view(br.disk))
                 rows.clear()  # in place: fill holds the bound append
         except ShapeError:
             self._abandon()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -510,7 +513,46 @@ def test_extend_rejects_floats_that_do_not_fit(tmp_path, etype, codec):
                             (np.ones(2), np.ones((2, 2)), (col, [1, 1]))):
                 with pytest.raises(ShapeError, match=etype.name):
                     w.extend(x=x, a=a, v=v)
+            # fill: the same values in a list, as Python or numpy numbers
+            for row in (col.tolist(), list(col)):
+                for a, v in ((row, [1.0]), ([1.0, 1.0], row)):
+                    with pytest.raises(ShapeError, match=etype.name):
+                        w.fill(x=1, a=a, v=v)
         assert w.n_entries == 0
+    # a filled scalar is checked when its basket is sealed
+    for bad in (np.nan, np.inf, top, below):
+        for value in (float(bad), np.float64(bad), np.float32(bad)):
+            if np.isfinite(value) and float(value) != float(bad):
+                continue  # float32 rounds it into range
+            w = TreeWriter(tmp_path / "s.bkio", [("x", etype, scalar())])
+            w.fill(x=value)
+            with pytest.raises(ShapeError, match=etype.name):
+                w.close()
+
+
+def test_f32_rejects_finite_values_past_its_range(tmp_path):
+    """A finite value that would overflow F32 raises ShapeError, in every
+    container; NaN and the infinities are written as they are."""
+    path = tmp_path / "f32.bkio"
+    schema = [("x", ElementType.F32, scalar()), ("a", ElementType.F32, var_array())]
+    with TreeWriter(path, schema) as w:
+        for x, a in ((1.0, [1e300]), (1.0, np.array([-1e300])),
+                     (1.0, [np.float64(1e300)]), (1.0, [2**200])):
+            with pytest.raises(ShapeError, match="F32"):
+                w.fill(x=x, a=a)
+        for x, a in ((np.array([1e300]), ([1.0], [1])), ([1e300], ([1.0], [1])),
+                     (np.ones(1), (np.array([1e300]), [1]))):
+            with pytest.raises(ShapeError, match="F32"):
+                w.extend(x=x, a=a)
+        w.fill(x=np.nan, a=[np.inf, -np.inf, 3.4e38])
+        w.extend(x=np.array([np.inf]), a=([np.nan], [1]))
+    got = [np.float32(v) for v in _read_all(path, "x")]
+    assert np.isnan(got[0]) and got[1] == np.inf
+    for value in (1e300, np.float64(-1e300), 2**200):
+        w = TreeWriter(tmp_path / "s.bkio", [("x", ElementType.F32, scalar())])
+        w.fill(x=value)  # a filled scalar is checked when its basket is sealed
+        with pytest.raises(ShapeError, match="F32"):
+            w.close()
 
 
 @pytest.mark.parametrize("etype,bad", [(ElementType.U32, [np.nan, 2.0]),
@@ -561,7 +603,7 @@ REJECT_SCHEMAS = {
 }
 BAD_VALUES = {
     ShapeKind.SCALAR: [[1.0], (1, 2), np.zeros(1), b"1", "1.5", None,
-                       np.str_("1")],
+                       np.str_("1"), 1 + 2j, np.complex128(1 + 2j), object(), {}],
     ShapeKind.FIXED_ARRAY: [1.0, [1, 2, 3, 4], [[1, 2]], "12", b"12",
                             [None, 1], ["1", "2"], np.array(["1", "2"])],
     ShapeKind.VAR_ARRAY: [1.0, "1", b"1", [None], np.array(["1"]), [[1]]],
@@ -627,9 +669,13 @@ def test_rejected_fill_appends_nothing(tmp_path, schema_name):
 @pytest.mark.parametrize("etype", [ElementType.F32, ElementType.I32,
                                    ElementType.U8], ids=lambda t: t.name)
 @pytest.mark.parametrize("value", ["1.5", "1", b"1", None, np.str_("1"),
-                                   np.bytes_(b"1"), np.datetime64("2020")],
+                                   np.bytes_(b"1"), np.datetime64("2020"),
+                                   1 + 2j, np.complex128(1 + 2j), object(), {},
+                                   Decimal("1"), Fraction(1, 2)],
                          ids=["str-float", "str-int", "bytes", "None", "np.str_",
-                              "np.bytes_", "datetime64"])
+                              "np.bytes_", "datetime64", "complex",
+                              "np.complex128", "object", "dict", "Decimal",
+                              "Fraction"])
 def test_fill_rejects_non_numbers_when_called(tmp_path, etype, value):
     path = tmp_path / "text.bkio"
     with TreeWriter(path, [("x", etype, scalar())],
@@ -646,9 +692,13 @@ def test_fill_rejects_non_numbers_when_called(tmp_path, etype, value):
                          ids=["fixed", "var"])
 @pytest.mark.parametrize("value", ["12", b"12", ["1", "2"], [None, 1],
                                    np.array(["1", "2"]), np.array([b"1", b"2"]),
-                                   np.array([1, None], dtype=object)],
+                                   np.array([1, None], dtype=object),
+                                   np.array([1 + 2j, 1]), [1 + 2j, 1],
+                                   [np.complex128(1 + 2j), 1]],
                          ids=["str", "bytes", "str-list", "None-list",
-                              "U-array", "S-array", "object-array"])
+                              "U-array", "S-array", "object-array",
+                              "complex-array", "complex-list",
+                              "np.complex128-list"])
 def test_fill_rejects_non_numeric_arrays(tmp_path, shape, value):
     path = tmp_path / "text.bkio"
     with TreeWriter(path, [("x", ElementType.U8, shape)]) as w:
@@ -676,10 +726,16 @@ def test_fill_rejects_non_numeric_arrays(tmp_path, shape, value):
     (var_array(), [[None], [1]]),
     (var_array(), [None, [1]]),
     (var_array(), None),
+    (scalar(), [1 + 2j, 1.0]),
+    (scalar(), np.array([1 + 2j, 1.0])),
+    (fixed_array(1), [[1 + 2j], [1]]),
+    (var_array(), ([1 + 2j, 1.0], [1, 1])),
+    (var_array(), [[1 + 2j], [1]]),
 ], ids=["U-array", "str-list", "S-array", "None-list", "None", "str",
         "fixed-U-array", "fixed-None", "var-U-flat", "var-None-flat", "var-U-counts",
         "var-str-rows", "var-bytes-rows", "var-None-in-row", "var-None-row",
-        "var-None"])
+        "var-None", "complex-list", "complex-array", "fixed-complex",
+        "var-complex-flat", "var-complex-rows"])
 @pytest.mark.parametrize("etype", [ElementType.F32, ElementType.I32],
                          ids=lambda t: t.name)
 def test_extend_rejects_non_numbers_when_called(tmp_path, etype, shape, column):
