@@ -6,15 +6,17 @@ composes filters and derived columns lazily; nothing is read until an
 action (count / sum / histogram) runs. An action walks each slot one window
 at a time and dispatches per event. In PER_ENTRY mode the window is the
 whole slot and each column value is one ``BranchReader.get_entry`` call. In
-BULK mode a window is one basket: each column the action reads is fetched
-serialized and decoded once per basket into a list of per-event values.
+BULK mode a window is one basket: each column the action reads is loaded
+into its reader's window and decoded once per basket into a list of
+per-event values.
 Without filters, a BULK window streams those lists: the action iterates the
 column's list, and a define is ``map``-ped over fresh streams of its
 arguments. With filters, and in every PER_ENTRY window, the node chain is
 compiled once per window into per-entry accessors and indexed by position,
 so filters short-circuit. Readers live only while their action runs.
 :func:`direct_sum` and friends bypass the frame and reduce over the
-source's per-basket buffers.
+source's per-basket views, which :meth:`DataSource.blocks` takes from its
+reader's window.
 
 Predicates and expressions are plain Python callables over the named
 columns' values, applied in declaration order; a filter chain stops at the
@@ -43,7 +45,7 @@ from .errors import (
     UnknownColumn,
 )
 from .format import ShapeKind
-from .reader import BranchReader, BulkBuffer, CountBuffer, TreeFile
+from .reader import BranchReader, TreeFile
 
 import enum
 
@@ -77,20 +79,17 @@ class _PerEntryColumn:
 class _BulkColumn:
     """A column's values one basket (a window) at a time, decoded once.
 
-    :meth:`load` fills the basket through the reader's basket load, which
+    :meth:`load` loads the basket into its reader's window, whose load
     checks BOOL bytes and var counts, and decodes all of it: scalars into a
     list through one ``tolist()``, arrays into per-event views of one fresh
-    native copy of the basket, so an array handed out stays valid after the
-    next load.
+    native copy of the basket. The decoded copies, not the window, are what
+    ``values`` holds, so an array handed out stays valid after the next load.
     """
 
-    __slots__ = ("_rd", "_buf", "_cbuf", "_native", "first", "end", "values",
-                 "__weakref__")
+    __slots__ = ("_rd", "_native", "first", "end", "values", "__weakref__")
 
     def __init__(self, rd: BranchReader):
         self._rd = rd
-        self._buf = BulkBuffer()
-        self._cbuf = CountBuffer() if rd.descriptor.is_array else None
         self._native = rd.element_type.np_native
         self.first = self.end = 0
         self.values: list = []
@@ -98,16 +97,15 @@ class _BulkColumn:
     def load(self, entry: int) -> list:
         """Decode the basket holding ``entry``; returns its per-event values."""
         rd = self._rd
-        idx = rd._basket_index(entry)
-        rd._load(idx, self._buf, self._cbuf)
-        native = self._buf.as_array().astype(self._native)
-        if self._cbuf is None:
+        rd._seek_entry(entry)
+        native = rd._ck_buf.as_array().astype(self._native)
+        counts = rd._ck_counts
+        if counts is None:
             values = native.tolist()
         else:
-            edges = self._cbuf.offsets().tolist()
+            edges = counts.offsets().tolist()
             values = [native[lo:hi] for lo, hi in zip(edges, edges[1:])]
-        first = rd._firsts[idx]
-        self.first, self.end, self.values = first, first + len(values), values
+        self.first, self.end, self.values = rd._ck_first, rd._ck_end, values
         return values
 
     def read(self, entry: int):
@@ -240,25 +238,24 @@ class DataSource:
     def blocks(self, column: str, slot: Optional[int] = None) -> Iterator[np.ndarray]:
         """Serialized per-basket element views over a slot range (or all slots).
 
-        This is the bulk seam the direct reductions consume: the views decode
-        lazily, so deserialization happens inside the caller's loop. Array
-        columns yield every element of the basket.
+        This is the bulk seam the direct reductions consume: each view is
+        the window of the generator's own reader, valid until the next one,
+        and decodes lazily, so deserialization happens inside the caller's
+        loop. Array columns yield every element of the basket. The window's
+        load checks BOOL bytes, so an invalid one raises FormatError.
         """
         ranges = self.slot_ranges if slot is None else [self.slot_ranges[slot]]
-        _, shape = self.column_info(column)
-        needs_counts = shape.kind is ShapeKind.VAR_ARRAY
+        self.column_info(column)  # an unknown column raises here, not at next()
 
         def gen():
             rd = self._open(column)
             try:
-                buf = BulkBuffer()
-                cbuf = CountBuffer() if needs_counts else None
                 for start, stop in ranges:
                     entry = start
                     while entry < stop:
-                        n = rd.get_entries_serialized(entry, buf, cbuf)
-                        yield buf.as_array()
-                        entry += n
+                        rd._seek_entry(entry)
+                        yield rd._ck_buf.as_array()
+                        entry = rd._ck_end
             finally:
                 self._release([rd])
 
@@ -365,12 +362,8 @@ class Frame:
 
     def histogram(self, column: str, bins: int, lo: float, hi: float) -> np.ndarray:
         """Fixed-width histogram counts of a scalar numeric column on [lo, hi)."""
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        if not hi > lo:
-            raise ValueError("need hi > lo")
+        binning = _binning(bins, lo, hi)
         self._check_action_column(column)
-        binning = (lo, hi, (hi - lo) / bins, bins)
         counts = self._fold(column, partial(_hist_window, *binning),
                             partial(_hist_stream, *binning), lambda: [0] * bins,
                             lambda a, b: list(map(int.__add__, a, b)))
@@ -378,13 +371,8 @@ class Frame:
 
     def _check_action_column(self, column: str) -> None:
         defined = {n.name for n in self._nodes if isinstance(n, _DefineNode)}
-        if column in defined:
-            return
-        etype, shape = self._source.column_info(column)
-        if shape.kind is not ShapeKind.SCALAR:
-            raise TypeMismatch(f"column {column!r} is not scalar")
-        if not etype.is_numeric:
-            raise TypeMismatch(f"column {column!r} is not numeric")
+        if column not in defined:
+            _check_column(self._source, column)
 
     # --- execution ---
 
@@ -541,13 +529,23 @@ def _hist_stream(lo: float, hi: float, width: float, bins: int,
 
 # --- direct (frame-bypassing) reductions over source buffers ---
 
-def _check_direct_column(source: DataSource, column: str,
-                         arrays: bool = False) -> None:
+def _check_column(source: DataSource, column: str, arrays: bool = False) -> None:
+    """TypeMismatch unless a catalog column is numeric, and scalar too
+    unless ``arrays``."""
     etype, shape = source.column_info(column)
     if not arrays and shape.kind is not ShapeKind.SCALAR:
         raise TypeMismatch(f"column {column!r} is not scalar")
     if not etype.is_numeric:
         raise TypeMismatch(f"column {column!r} is not numeric")
+
+
+def _binning(bins: int, lo: float, hi: float) -> tuple:
+    """``(lo, hi, width, bins)`` of a histogram; ValueError if empty."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    return lo, hi, (hi - lo) / bins, bins
 
 
 def direct_count(source: DataSource) -> int:
@@ -558,7 +556,7 @@ def direct_count(source: DataSource) -> int:
 def direct_sum(source: DataSource, column: str) -> float:
     """Float64 sum of every element of a numeric column (scalar or array),
     reduced basket-by-basket over source buffers."""
-    _check_direct_column(source, column, arrays=True)
+    _check_column(source, column, arrays=True)
     total = 0.0
     for slot in range(source.n_slots):
         acc = 0.0
@@ -571,14 +569,10 @@ def direct_sum(source: DataSource, column: str) -> float:
 def direct_histogram(source: DataSource, column: str, bins: int,
                      lo: float, hi: float) -> np.ndarray:
     """Histogram reduced basket-by-basket; bit-identical to the frame action."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    _check_direct_column(source, column)
-    width = (hi - lo) / bins
+    binning = _binning(bins, lo, hi)
+    _check_column(source, column)
     total = np.zeros(bins, dtype=np.int64)
     for slot in range(source.n_slots):
         for view in source.blocks(column, slot):
-            total += _hist_vector(view.astype(np.float64), lo, hi, width, bins)
+            total += _hist_vector(view.astype(np.float64), *binning)
     return total

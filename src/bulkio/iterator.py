@@ -5,9 +5,10 @@ The plain :class:`EventReader` routes every dereference through
 basket lookup per event, on purpose: it models the conventional reader
 stack whose overhead the bulk paths remove.
 
-:class:`FastEventReader` refills per-branch serialized buffers one basket
-at a time and decodes at dereference. Proxies are valid only between two
-``next()`` calls; buffer reuse across refills is guarded by a generation
+:class:`FastEventReader` gives each proxy a reader of its own and refills
+that reader's window (its one loaded basket, serialized) one basket at a
+time, decoding at dereference. Proxies are valid only between two
+``next()`` calls; window reuse across refills is guarded by a generation
 counter. ``next_block()`` plus ``block()`` expose the same data one basket
 at a time as lazily-decoding array views, which is how a vectorizing
 caller gets the deserialization folded into its own reduction loop.
@@ -21,13 +22,13 @@ the ``next()`` or ``next_block()`` that refills a fast iterator.
 from __future__ import annotations
 
 from os import PathLike
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import FormatError, InvalidProxyState, TypeMismatch
 from .format import ElementType, ShapeKind
-from .reader import BranchReader, BulkBuffer, CountBuffer, TreeFile
+from .reader import BranchReader, TreeFile
 
 Source = Union[str, PathLike, TreeFile]
 
@@ -99,23 +100,15 @@ class ValueProxy:
         return self._rd.get_entry(c)
 
 
-class ArrayProxy:
-    """Plain array accessor (fixed or var shape)."""
+class ArrayProxy(ValueProxy):
+    """Plain array accessor (fixed or var shape); deref returns a fresh array."""
 
-    __slots__ = ("_it", "_rd", "_fixed_len")
+    __slots__ = ("_fixed_len",)
 
     def __init__(self, it: "EventReader", rd: BranchReader):
-        self._it = it
-        self._rd = rd
+        super().__init__(it, rd)
         shape = rd.descriptor.shape
         self._fixed_len = shape.fixed_len if shape.kind is ShapeKind.FIXED_ARRAY else -1
-
-    def deref(self) -> np.ndarray:
-        it = self._it
-        c = it._cursor
-        if c < 0 or c >= it._n:
-            raise InvalidProxyState("iterator not positioned on a valid entry")
-        return self._rd.get_entry(c)
 
     def __len__(self) -> int:
         if self._fixed_len >= 0:
@@ -152,22 +145,18 @@ class EventReader(_EventLoop):
 
 
 class FastValueProxy:
-    """Scalar accessor over the serialized buffer of the current basket.
+    """Scalar accessor over its reader's window, the current basket.
 
-    A refill loads the basket through the reader's checked basket load, so
-    an invalid BOOL byte raises at the ``next()``/``next_block()`` call
-    that loads its basket; BOOL values are then viewed as numpy bools.
+    A refill loads the window, whose load checks BOOL bytes, so an invalid
+    BOOL byte raises at the ``next()``/``next_block()`` call that loads its
+    basket; BOOL values are then viewed as numpy bools.
     """
 
-    __slots__ = ("_it", "_rd", "buf", "count_buf", "_view", "_offsets",
-                 "_gen", "refill_count")
+    __slots__ = ("_it", "_rd", "_view", "_offsets", "_gen", "refill_count")
 
-    def __init__(self, it: "FastEventReader", rd: BranchReader,
-                 count_buf: Optional[CountBuffer] = None):
+    def __init__(self, it: "FastEventReader", rd: BranchReader):
         self._it = it
         self._rd = rd
-        self.buf = BulkBuffer()
-        self.count_buf = count_buf
         self._view = None
         self._offsets = None
         self._gen = -1
@@ -175,19 +164,20 @@ class FastValueProxy:
 
     @property
     def generation(self) -> int:
-        """Refill generation this proxy's buffer belongs to."""
+        """Refill generation this proxy's window belongs to."""
         return self._gen
 
     def _refill(self, entry: int, gen: int) -> int:
         rd = self._rd
-        rd._load(rd._basket_at_start(entry), self.buf, self.count_buf)
-        if self.count_buf is not None:
-            self._offsets = self.count_buf.offsets()
-        view = self.buf.as_array()
-        self._view = view.view("?") if rd.element_type is ElementType.BOOL else view
+        rd._seek_entry(entry)
+        counts = rd._ck_counts
+        if counts is not None:
+            self._offsets = counts.offsets()
+        view = rd._ck_buf.as_array()
+        self._view = view.view("?") if rd._etype is ElementType.BOOL else view
         self._gen = gen
         self.refill_count += 1
-        return self.buf.event_count
+        return rd._ck_end - entry
 
     def _check_window(self) -> int:
         it = self._it
@@ -197,7 +187,7 @@ class FastValueProxy:
         return c - it._block_first
 
     def deref(self):
-        """Decode the current entry's value from the serialized buffer."""
+        """Decode the current entry's value from the serialized window."""
         local = self._check_window()
         return self._view.item(local)
 
@@ -215,7 +205,7 @@ class FastArrayProxy(FastValueProxy):
     __slots__ = ("_native", "_fixed_len")
 
     def __init__(self, it: "FastEventReader", rd: BranchReader):
-        super().__init__(it, rd, CountBuffer())
+        super().__init__(it, rd)
         self._native = rd.element_type.np_native
         shape = rd.descriptor.shape
         self._fixed_len = shape.fixed_len if shape.kind is ShapeKind.FIXED_ARRAY else -1
@@ -228,12 +218,12 @@ class FastArrayProxy(FastValueProxy):
     def __len__(self) -> int:
         if self._fixed_len >= 0:
             return self._fixed_len
-        return self.count_buf[self._check_window()]
+        return self._rd._ck_counts[self._check_window()]
 
     def block_counts(self) -> np.ndarray:
         """Per-event element counts for the current basket."""
         self.block()  # raises without a current block
-        return self.count_buf.counts
+        return self._rd._ck_counts.counts
 
 
 class FastEventReader(_EventLoop):

@@ -1,16 +1,20 @@
 """Branch-level read paths: per-entry, bulk-deserialized, bulk-serialized.
 
-A :class:`BranchReader` resolves entries to baskets and keeps a one-basket
-cache for per-entry access. The two bulk calls hand a whole basket to a
-caller-owned :class:`BulkBuffer`, either deserialized to native layout or
-byte-for-byte in on-disk order; var-array baskets additionally fill a
+A :class:`BranchReader` resolves entries to baskets and keeps one loaded
+basket, its window: the basket's serialized bytes plus, for array
+branches, its per-event element counts. ``get_entry`` reads through the
+window, and so do the fast iterator, the bulk frame's columns and
+``DataSource.blocks``, each in the window of a reader of its own. The two
+bulk calls instead hand a whole basket to a caller-owned
+:class:`BulkBuffer`, either deserialized to native layout or byte-for-byte
+in on-disk order; var-array baskets additionally fill a
 :class:`CountBuffer` with per-event element counts.
 
-Every read in the library, here and in the iterator and dataframe layers,
-goes through one basket load (``BranchReader._load``). It checks a BOOL
-basket's bytes once, for every caller except ``get_entries_serialized``,
-which hands raw bytes out. It also turns the counts into per-event element
-offsets, and raises :class:`FormatError` when a var basket's counts do not
+Every read in the library goes through one basket load
+(``BranchReader._load``), whose callers are the window load and the two
+bulk calls. It checks a BOOL basket's bytes once, for every caller except
+``get_entries_serialized``, which hands raw bytes out. It also fills the
+counts, and raises :class:`FormatError` when a var basket's counts do not
 add up to its payload.
 
 Readers use offset-addressed reads (``os.pread``), so any number of
@@ -187,7 +191,7 @@ class _OpenFile:
         self.fobj = fobj  # keeps the file open as long as any reader lives
         self.fd = fobj.fileno()
         self.payload_end = payload_end  # where the footer begins
-        # readers holding a per-entry basket, which must not outlive close
+        # every reader, whose window must not outlive close
         self.cached: "weakref.WeakSet[BranchReader]" = weakref.WeakSet()
 
     def close(self) -> None:
@@ -231,6 +235,7 @@ class BranchReader:
         # (native, disk) unsigned ints of the element width: swapping through
         # them keeps every float bit pattern, NaN payloads included
         self._uint = (np.dtype(f"u{self._width}"), np.dtype(f">u{self._width}"))
+        file.cached.add(self)
 
     # --- metadata ---
 
@@ -281,7 +286,7 @@ class BranchReader:
         return idx
 
     def _drop_cache(self) -> None:
-        self._ck_first = self._ck_end = 0  # every entry misses the cache
+        self._ck_first = self._ck_end = 0  # every entry misses the window
 
     def _open_fd(self, bk: BasketDescriptor) -> int:
         """The descriptor to read ``bk`` from, once it is known to lie in the
@@ -352,9 +357,10 @@ class BranchReader:
             if self._desc.shape.kind is ShapeKind.VAR_ARRAY:
                 cr = self.count_reader
                 counts._set(np.frombuffer(cr._fetch(cr._baskets[idx]), dtype=">u4"))
-            else:
+                total = counts.total()
+            else:  # n copies of k, without summing them
                 counts._set(np.full(bk.n_entries, self._k, dtype="u4"))
-            total = counts.total()
+                total = bk.n_entries * self._k
             if total * self._width != nbytes:
                 raise FormatError(
                     f"branch {self._desc.name!r}: basket at entry {bk.first_entry} "
@@ -394,20 +400,20 @@ class BranchReader:
     # --- per-entry read ---
 
     def _seek_entry(self, entry: int) -> None:
-        """Load the basket holding ``entry`` as the per-entry window."""
-        self._drop_cache()  # a failed load leaves no window behind
+        """Load the basket holding ``entry`` as the window: serialized, BOOL
+        bytes checked, counts filled for array branches."""
+        self._ck_first = self._ck_end = 0  # a failed load leaves no window
         idx = self._basket_index(entry)
         self._load(idx, self._ck_buf, self._ck_counts)
         bk = self._baskets[idx]
-        self._ck_payload = self._ck_buf._mem.data
-        self._ck_first = bk.first_entry
-        self._ck_end = bk.first_entry + bk.n_entries
-        self._file.cached.add(self)
+        self._ck_first = first = bk.first_entry
+        self._ck_end = first + bk.n_entries
 
     def get_entry(self, entry: int):
         first = self._ck_first
         if entry < first or entry >= self._ck_end:
             self._seek_entry(entry)
+            self._ck_payload = self._ck_buf._mem.data
             first = self._ck_first
         return self._unpack_from(self._ck_payload, (entry - first) * self._width)[0]
 
@@ -427,15 +433,12 @@ class _ArrayReader(BranchReader):
         if count_descriptor is not None:  # var arrays: their u32 count branch
             self.count_reader = BranchReader(file, count_descriptor)
 
-    def _seek_entry(self, entry: int) -> None:
-        super()._seek_entry(entry)
-        self._ck_offsets = self._ck_counts.offsets().tolist()
-        self._ck_view = self._ck_buf.as_array()
-
     def get_entry(self, entry: int) -> np.ndarray:
         first = self._ck_first
         if entry < first or entry >= self._ck_end:
             self._seek_entry(entry)
+            self._ck_offsets = self._ck_counts.offsets().tolist()
+            self._ck_view = self._ck_buf.as_array()
             first = self._ck_first
         offs = self._ck_offsets
         local = entry - first

@@ -16,6 +16,7 @@ from bulkio import (
     ElementType,
     EventReader,
     FastEventReader,
+    FileClosed,
     FormatError,
     Frame,
     IndexOutOfRange,
@@ -31,7 +32,7 @@ from bulkio import (
     var_array,
 )
 
-from conftest import deflate_bomb, rewrite_basket
+from conftest import deflate_bomb, rewrite_basket, write_events
 
 
 def _patch(path, branch: str, basket: int, at: int, value: int) -> None:
@@ -143,6 +144,22 @@ def test_invalid_bool_byte_through_the_event_readers(tmp_path, shape):
             events.next_block()
         with pytest.raises(InvalidProxyState):
             b.block()
+
+
+@pytest.mark.parametrize("shape", [scalar(), fixed_array(2), var_array()],
+                         ids=["scalar", "fixed", "var"])
+def test_invalid_bool_byte_through_blocks(tmp_path, shape):
+    """``DataSource.blocks`` reads through its reader's window, whose load
+    checks BOOL bytes: the bad basket raises instead of handing out 0x02."""
+    path = _bool_file(tmp_path, shape)
+    with make_source(path, mode=SourceMode.BULK) as src:
+        blocks = src.blocks("b")
+        first = [False, True, False, True]
+        if shape.kind is not ShapeKind.SCALAR:
+            first = [b for v in first for b in (v, True)]
+        assert next(blocks).astype(bool).tolist() == first
+        with pytest.raises(FormatError):
+            next(blocks)
 
 
 def test_failed_refill_leaves_no_block_behind(tmp_path):
@@ -301,3 +318,97 @@ def test_one_byte_baskets_deserialize_verbatim(tmp_path, etype):
         tf.branch("x").get_bulk_entries(0, buf)
     assert buf.as_array().dtype == np.dtype(etype.np_native)
     assert buf.to_bytes() == raw.tobytes()
+
+
+# --- the reader window: the one loaded basket behind every internal read ---
+
+@pytest.mark.parametrize("n_slots", [1, 2])
+@pytest.mark.parametrize("codec", [Codec.NONE, Codec.DEFLATE], ids=lambda c: c.name)
+@pytest.mark.parametrize("shape", [scalar(), fixed_array(3), var_array()],
+                         ids=["scalar", "fixed", "var"])
+def test_every_path_loads_each_basket_once(tmp_path, shape, codec, n_slots):
+    """Each pass loads every basket once per reader: a var branch also loads
+    each of its count baskets once, through its count reader."""
+    path = tmp_path / "once.bkio"
+    with TreeWriter(path, [("x", ElementType.I32, shape)],
+                    basket_capacity_entries=8, codec=codec) as w:
+        for i in range(45):
+            w.fill(x=i if shape.kind is ShapeKind.SCALAR
+                   else [i] * (3 if shape.kind is ShapeKind.FIXED_ARRAY else i % 4))
+    is_array = shape.kind is not ShapeKind.SCALAR
+    n_baskets = 6 * (2 if shape.kind is ShapeKind.VAR_ARRAY else 1)
+
+    def loaded(rd):
+        cr = getattr(rd, "count_reader", None)
+        return rd.baskets_read + (cr.baskets_read if cr is not None else 0)
+
+    for mode in (SourceMode.PER_ENTRY, SourceMode.BULK):
+        with make_source(path, mode=mode, n_slots=n_slots) as src:
+            frame = Frame(src)
+            if is_array:
+                frame.define("n", len, ["x"]).sum("n")
+            else:
+                frame.sum("x")
+            assert src.baskets_read == n_baskets
+    with make_source(path, mode=SourceMode.BULK, n_slots=n_slots) as src:
+        direct_sum(src, "x")
+        assert src.baskets_read == n_baskets
+    with FastEventReader(path) as events:
+        x = (events.attach_array if is_array else events.attach_value)(
+            "x", ElementType.I32)
+        while events.next():
+            x.deref()
+        assert x.refill_count == 6
+        assert loaded(x._rd) == n_baskets
+    with TreeFile(path) as tf:
+        rd = tf.branch("x")
+        for i in range(rd.n_entries):
+            rd.get_entry(i)
+        assert loaded(rd) == n_baskets
+
+
+@pytest.mark.parametrize("etype,shape", [
+    (ElementType.I16, fixed_array(3)),
+    (ElementType.F32, var_array()),
+    (ElementType.U8, var_array()),
+], ids=["fixed-I16", "var-F32", "var-U8"])
+def test_bulk_arrays_outlive_the_next_load(tmp_path, etype, shape):
+    """Arrays a BULK column hands out are copies, not views of the window:
+    they keep their values after later loads reuse the window's memory.
+    Every basket has the same byte size, so each load overwrites the last."""
+    def row(i):  # per-basket lengths 1, 3, 2, 2: 8 elements in each basket
+        k = 3 if shape.kind is ShapeKind.FIXED_ARRAY else (1, 3, 2, 2)[i % 4]
+        return np.arange(i, i + k).astype(etype.np_native)
+
+    rows = [row(i) for i in range(16)]
+    path = tmp_path / "copies.bkio"
+    write_events(path, etype, shape, rows, capacity=4)
+    with make_source(path, mode=SourceMode.BULK) as src:
+        col = src.reader("x")
+        got = [col.read(i) for i in range(16)]
+        kept = []
+        Frame(src).define("k", lambda a: kept.append(a) or 0.0, ["x"]).sum("k")
+        Frame(src).filter(lambda a: kept.append(a) or True, ["x"]).count()
+    for arrays in (got, kept[:16], kept[16:]):
+        assert len(arrays) == 16
+        for a, want in zip(arrays, rows):
+            assert a.dtype == np.dtype(etype.np_native)
+            assert a.tolist() == want.tolist()
+
+
+def test_closed_file_stops_window_readers(ramp_file):
+    """A fast iterator and a blocks generator read into their readers'
+    windows; once the file closes, their next load raises FileClosed."""
+    tf = TreeFile(ramp_file)
+    events = FastEventReader(tf)
+    events.attach_value("x", ElementType.F32)
+    assert events.next_block() == 32
+    tf.close()
+    with pytest.raises(FileClosed):
+        events.next_block()
+    src = make_source(ramp_file, mode=SourceMode.BULK)
+    blocks = src.blocks("x")
+    assert len(next(blocks)) == 32
+    src.close()
+    with pytest.raises(FileClosed):
+        next(blocks)
