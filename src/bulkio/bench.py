@@ -9,7 +9,10 @@ checksums (that gate comes before any timing claim):
 * ``reader``         plain event iterator (dereference -> get_entry)
 * ``fast-reader``    fast iterator, serialized blocks decoded in the reduction
 * ``rdf-standard``   frame dispatch per event over a per-entry source
-* ``rdf-bulk``       frame dispatch per event over a basket-window source
+* ``rdf-bulk``       the frame over a bulk source: a bare sum of a scalar
+                     column switches to whole-basket kernels (the array
+                     plan); a var column's per-event define keeps dispatch
+                     per event
 * ``rds-bulk``       direct source-buffer reduction, no frame dispatch
 
 Wall time covers iterating all events; readers are opened fresh for every
@@ -66,7 +69,7 @@ SCENARIOS: dict[str, Scenario] = {s.id: s for s in [
     Scenario("reader", "plain event iterator over get_entry"),
     Scenario("fast-reader", "fast iterator over serialized blocks"),
     Scenario("rdf-standard", "frame dispatch, per-entry source"),
-    Scenario("rdf-bulk", "frame dispatch, bulk source"),
+    Scenario("rdf-bulk", "frame over a bulk source, array plan when bare"),
     Scenario("rds-bulk", "direct source-buffer reduction"),
 ]}
 

@@ -3,20 +3,28 @@
 :func:`make_source` opens a file as a :class:`DataSource` with one or more
 slots, each an entry range aligned to basket boundaries. :class:`Frame`
 composes filters and derived columns lazily; nothing is read until an
-action (count / sum / histogram) runs. An action walks each slot one window
-at a time and dispatches per event. In PER_ENTRY mode the window is the
-whole slot and each column value is one ``BranchReader.get_entry`` call. In
-BULK mode a window is one basket: each column the action reads is loaded
-into its reader's window and decoded once per basket into a list of
-per-event values.
-Without filters, a BULK window streams those lists: the action iterates the
-column's list, and a define is ``map``-ped over fresh streams of its
-arguments. With filters, and in every PER_ENTRY window, the node chain is
-compiled once per window into per-entry accessors and indexed by position,
-so filters short-circuit. Readers live only while their action runs.
-:func:`direct_sum` and friends bypass the frame and reduce over the
-source's per-basket views, which :meth:`DataSource.blocks` takes from its
-reader's window.
+action (count / sum / histogram) runs. An action runs one of three plans
+over each slot, and the source counts the plans it ran
+(:attr:`DataSource.plans_run`):
+
+* ``array``: in BULK mode, an action on a catalog column with no filter and
+  no define in its plan has no Python callable between the basket and the
+  reduction, so the frame switches to whole-basket kernels over the
+  per-basket views of :meth:`DataSource.blocks`. Their results are bit for
+  bit those of the per-event loops: a sum is the same left fold in float64.
+* ``streamed``: a BULK plan without filters loads each column the action
+  reads into its reader's window, one basket at a time, and decodes it once
+  into a list of per-event values; the action iterates the column's list,
+  and a define is ``map``-ped over fresh streams of its arguments.
+* ``indexed``: with filters, and in every PER_ENTRY window, the node chain
+  is compiled once per window into per-entry accessors and indexed by
+  position, so filters short-circuit. In PER_ENTRY mode the window is the
+  whole slot and each column value is one ``BranchReader.get_entry`` call;
+  in BULK mode a window is one basket, decoded as for ``streamed``.
+
+Readers live only while their action runs. :func:`direct_sum` and friends
+bypass the frame and reduce over the same per-basket views, which
+:meth:`DataSource.blocks` takes from its reader's window.
 
 Predicates and expressions are plain Python callables over the named
 columns' values, applied in declaration order; a filter chain stops at the
@@ -27,6 +35,7 @@ action, in every window.
 
 from __future__ import annotations
 
+import math
 import weakref
 from bisect import bisect_left
 from contextlib import closing
@@ -156,6 +165,7 @@ class DataSource:
         self.slot_ranges = list(zip(splits[:-1], splits[1:]))
         self._live: set[BranchReader] = set()  # readers of running actions
         self._released_baskets = 0
+        self._plans = dict.fromkeys(("array", "streamed", "indexed"), 0)
 
     @property
     def n_entries(self) -> int:
@@ -178,6 +188,12 @@ class DataSource:
     def baskets_read(self) -> int:
         """Baskets decompressed so far by readers this source created."""
         return self._released_baskets + sum(map(_baskets, self._live))
+
+    @property
+    def plans_run(self) -> dict[str, int]:
+        """How many frame actions on this source ran each plan: ``array``,
+        ``streamed`` or ``indexed`` (see :class:`Frame`); a copy."""
+        return dict(self._plans)
 
     def _open(self, column: str) -> BranchReader:
         try:
@@ -301,12 +317,32 @@ def _hist_scalar(v: float, lo: float, width: float, bins: int) -> int:
     return bins - 1 if i >= bins else i
 
 
-def _hist_vector(a8: np.ndarray, lo: float, hi: float, width: float,
+def _hist_vector(values: np.ndarray, lo: float, hi: float, width: float,
                  bins: int) -> np.ndarray:
-    mask = (a8 >= lo) & (a8 < hi)
+    """Bin counts of ``values`` as :func:`_hist_scalar` bins each Python
+    number: the range test is exact, and the bin index comes from the
+    value's float64."""
+    a8 = values.astype(np.float64)
+    if values.dtype.kind in "iu" and values.dtype.itemsize == 8:
+        mask = _int_in_range(values, lo, hi)
+    else:  # every other numeric type converts to float64 exactly
+        mask = (a8 >= lo) & (a8 < hi)
     idx = ((a8[mask] - lo) / width).astype(np.int64)
     np.minimum(idx, bins - 1, out=idx)
     return np.bincount(idx, minlength=bins).astype(np.int64)
+
+
+def _int_in_range(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``lo <= v < hi`` for each integer v, compared exactly as Python
+    compares an int with a float: a float64 cast would round values past
+    2**53. The bounds become the integers ``ceil(lo)`` and ``ceil(hi) - 1``,
+    clamped to the dtype."""
+    info = np.iinfo(values.dtype)
+    first = info.min if lo < info.min else math.ceil(lo)
+    last = info.max if hi > info.max else math.ceil(hi) - 1
+    if first > last:
+        return np.zeros(len(values), dtype=bool)
+    return (values >= first) & (values <= last)
 
 
 class Frame:
@@ -353,19 +389,21 @@ class Frame:
 
     def count(self) -> int:
         """Number of events passing all filters."""
-        return self._fold(None, _count_window, None, int, int.__add__)
+        return self._fold(None, _count_window, None, None, int, int.__add__)
 
     def sum(self, column: str) -> float:
         """Float64 sum of a scalar numeric column over passing events."""
         self._check_action_column(column)
-        return self._fold(column, _sum_window, _sum_stream, float, float.__add__)
+        return self._fold(column, _sum_window, _sum_stream, _sum_array, float,
+                          float.__add__)
 
     def histogram(self, column: str, bins: int, lo: float, hi: float) -> np.ndarray:
         """Fixed-width histogram counts of a scalar numeric column on [lo, hi)."""
         binning = _binning(bins, lo, hi)
         self._check_action_column(column)
         counts = self._fold(column, partial(_hist_window, *binning),
-                            partial(_hist_stream, *binning), lambda: [0] * bins,
+                            partial(_hist_stream, *binning),
+                            partial(_hist_array, *binning), lambda: [0] * bins,
                             lambda a, b: list(map(int.__add__, a, b)))
         return np.asarray(counts, dtype=np.int64)
 
@@ -388,25 +426,44 @@ class Frame:
         nodes.reverse()
         return [c for c in self._source.column_names if c in needed], nodes
 
-    def _fold(self, column: Optional[str], window, stream_window, zero, combine):
-        """Run ``window(acc, entries, read, passes)`` over every window of
-        every slot; a BULK plan without filters runs
-        ``stream_window(acc, values)`` over the action column's values
-        instead. Each slot folds its windows in entry order from ``zero()``;
-        slot results combine in slot order."""
+    def _fold(self, column: Optional[str], window, stream_window, array_window,
+              zero, combine):
+        """Run an action over every slot with one of three plans, counted in
+        the source's :attr:`DataSource.plans_run`:
+
+        * ``array``: a BULK plan with no node, on a catalog column, runs
+          ``array_window(acc, views)`` over the slot's basket views from
+          :meth:`DataSource.blocks`;
+        * ``streamed``: a BULK plan without filters runs
+          ``stream_window(acc, values)`` over the action column's values in
+          each window;
+        * ``indexed``: every other plan runs
+          ``window(acc, entries, read, passes)`` over each window.
+
+        Each slot folds in entry order from ``zero()``; slot results combine
+        in slot order."""
         columns, nodes = self._plan(column)
         source = self._source
-        stream = (column is not None and source.mode is SourceMode.BULK
-                  and not any(isinstance(n, _FilterNode) for n in nodes))
+        if (column is None or source.mode is SourceMode.PER_ENTRY
+                or any(isinstance(n, _FilterNode) for n in nodes)):
+            plan = "indexed"
+        else:
+            plan = "streamed" if nodes else "array"
+        source._plans[plan] += 1
         result = zero()
+        stream = plan == "streamed"
         for slot in range(source.n_slots):
             acc = zero()
-            with closing(source._windows(slot, columns, stream)) as windows:
-                for entries, values in windows:
-                    if stream:
-                        acc = stream_window(
-                            acc, _action_stream(nodes, values, len(entries), column))
-                    else:
+            if plan == "array":
+                with closing(source.blocks(column, slot)) as views:
+                    acc = array_window(acc, views)
+            else:
+                with closing(source._windows(slot, columns, stream)) as windows:
+                    for entries, values in windows:
+                        if stream:
+                            acc = stream_window(acc, _action_stream(
+                                nodes, values, len(entries), column))
+                            continue
                         read, passes = _compile(nodes, values, column)
                         try:  # would end a caller's generator or map silently
                             acc = window(acc, entries, read, passes)
@@ -459,15 +516,14 @@ def _stream(defines, lists: dict, n: int, column: str) -> Iterator:
 
 
 def _action_stream(defines, lists: dict, n: int, column: str) -> Iterator:
-    """The action column's :func:`_stream`. ``map`` ends early, silently,
-    when a define raises StopIteration, which would drop the rest of the
-    window; so behind defines the events are counted, and a window cut
-    short raises RuntimeError, as a generator does (PEP 479)."""
-    values = _stream(defines, lists, n, column)
-    if not defines:
-        return values
+    """The action column's :func:`_stream`, a define (a plan without one
+    runs as ``array``). ``map`` ends early, silently, when a define raises
+    StopIteration, which would drop the rest of the window; so the events
+    are counted, and a window cut short raises RuntimeError, as a generator
+    does (PEP 479)."""
     left = repeat(True, n)
-    return chain(compress(values, left), _none_left(left))
+    return chain(compress(_stream(defines, lists, n, column), left),
+                 _none_left(left))
 
 
 def _none_left(left: Iterator) -> Iterator:
@@ -527,6 +583,36 @@ def _hist_stream(lo: float, hi: float, width: float, bins: int,
     return counts
 
 
+# The array inner loops of a BULK plan with no node: whole-basket kernels
+# over a slot's basket views, with the results of the loops above.
+
+def _sum_array(acc: float, views: Iterator[np.ndarray]) -> float:
+    """``acc += v`` over every value of every view, in order. Per basket,
+    ``np.add.accumulate`` over ``[acc, *view]`` in float64 makes each prefix
+    the one before plus the next value, so its last is exactly that fold
+    (numpy's pairwise summation would not be). Like Python's float
+    additions, it overflows to infinity and makes NaN without a warning."""
+    buf = np.empty(0)
+    with np.errstate(over="ignore", invalid="ignore"):  # once per slot
+        for view in views:
+            n = len(view) + 1
+            if len(buf) < n:
+                buf = np.empty(n)
+            part = buf[:n]
+            part[0] = acc
+            part[1:] = view
+            acc = float(np.add.accumulate(part, out=part)[-1])
+    return acc
+
+
+def _hist_array(lo: float, hi: float, width: float, bins: int,
+                counts: list, views: Iterator[np.ndarray]) -> list:
+    total = np.array(counts, dtype=np.int64)
+    for view in views:
+        total += _hist_vector(view, lo, hi, width, bins)
+    return total.tolist()
+
+
 # --- direct (frame-bypassing) reductions over source buffers ---
 
 def _check_column(source: DataSource, column: str, arrays: bool = False) -> None:
@@ -571,8 +657,5 @@ def direct_histogram(source: DataSource, column: str, bins: int,
     """Histogram reduced basket-by-basket; bit-identical to the frame action."""
     binning = _binning(bins, lo, hi)
     _check_column(source, column)
-    total = np.zeros(bins, dtype=np.int64)
-    for slot in range(source.n_slots):
-        for view in source.blocks(column, slot):
-            total += _hist_vector(view.astype(np.float64), *binning)
-    return total
+    with closing(source.blocks(column)) as views:
+        return np.asarray(_hist_array(*binning, [0] * bins, views), dtype=np.int64)

@@ -152,13 +152,12 @@ class FastValueProxy:
     basket; BOOL values are then viewed as numpy bools.
     """
 
-    __slots__ = ("_it", "_rd", "_view", "_offsets", "_gen", "refill_count")
+    __slots__ = ("_it", "_rd", "_view", "_gen", "refill_count")
 
     def __init__(self, it: "FastEventReader", rd: BranchReader):
         self._it = it
         self._rd = rd
         self._view = None
-        self._offsets = None
         self._gen = -1
         self.refill_count = 0
 
@@ -170,9 +169,6 @@ class FastValueProxy:
     def _refill(self, entry: int, gen: int) -> int:
         rd = self._rd
         rd._seek_entry(entry)
-        counts = rd._ck_counts
-        if counts is not None:
-            self._offsets = counts.offsets()
         view = rd._ck_buf.as_array()
         self._view = view.view("?") if rd._etype is ElementType.BOOL else view
         self._gen = gen
@@ -202,17 +198,24 @@ class FastValueProxy:
 class FastArrayProxy(FastValueProxy):
     """Array accessor decoding one event's slice at dereference time."""
 
-    __slots__ = ("_native", "_fixed_len")
+    __slots__ = ("_native", "_fixed_len", "_offsets")
 
     def __init__(self, it: "FastEventReader", rd: BranchReader):
         super().__init__(it, rd)
         self._native = rd.element_type.np_native
         shape = rd.descriptor.shape
         self._fixed_len = shape.fixed_len if shape.kind is ShapeKind.FIXED_ARRAY else -1
+        self._offsets = None
+
+    def _refill(self, entry: int, gen: int) -> int:
+        self._offsets = None  # built by the basket's first deref, if any
+        return super()._refill(entry, gen)
 
     def deref(self) -> np.ndarray:
         local = self._check_window()
         offs = self._offsets
+        if offs is None:
+            offs = self._offsets = self._rd._ck_counts.offsets()
         return self._view[int(offs[local]):int(offs[local + 1])].astype(self._native)
 
     def __len__(self) -> int:

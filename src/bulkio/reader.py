@@ -404,8 +404,12 @@ class BranchReader:
         bytes checked, counts filled for array branches."""
         self._ck_first = self._ck_end = 0  # a failed load leaves no window
         idx = self._basket_index(entry)
-        self._load(idx, self._ck_buf, self._ck_counts)
         bk = self._baskets[idx]
+        counts = self._ck_counts
+        if (counts is not None and counts.event_count == bk.n_entries
+                and self._desc.shape.kind is ShapeKind.FIXED_ARRAY):
+            counts = None  # they are already n copies of the fixed length
+        self._load(idx, self._ck_buf, counts)
         self._ck_first = first = bk.first_entry
         self._ck_end = first + bk.n_entries
 

@@ -412,3 +412,29 @@ def test_closed_file_stops_window_readers(ramp_file):
     src.close()
     with pytest.raises(FileClosed):
         next(blocks)
+
+
+def test_fixed_array_window_counts_follow_basket_sizes(tmp_path):
+    """A fixed-array window fills its counts only when the basket's event
+    count changes; moving between full baskets and the short last one, in
+    any order, still slices every event right."""
+    rows = [np.arange(i, i + 3, dtype="i2") for i in range(21)]
+    path = tmp_path / "fixed.bkio"
+    write_events(path, ElementType.I16, fixed_array(3), rows, capacity=8)
+    with TreeFile(path) as tf:
+        rd = tf.branch("x")
+        for i in (20, 0, 17, 9, 19, 3, 16, 8):
+            assert rd.get_entry(i).tolist() == rows[i].tolist()
+            assert len(rd._ck_counts) == (5 if i >= 16 else 8)
+        assert rd._ck_counts.counts.tolist() == [3] * 8
+    with FastEventReader(path) as events:
+        x = events.attach_array("x", ElementType.I16)
+        sizes = []
+        while (n := events.next_block()):
+            assert x.block_counts().tolist() == [3] * n
+            sizes.append(n)
+        assert sizes == [8, 8, 5]
+    with FastEventReader(path) as events:
+        x = events.attach_array("x", ElementType.I16)
+        while events.next():
+            assert x.deref().tolist() == rows[events.cursor].tolist()
