@@ -392,10 +392,14 @@ class Frame:
         return self._fold(None, _count_window, None, None, int, int.__add__)
 
     def sum(self, column: str) -> float:
-        """Float64 sum of a scalar numeric column over passing events."""
+        """Float64 sum of a scalar numeric column over passing events; a NaN
+        sum is ``math.nan``, whose sign does not depend on the plan."""
         self._check_action_column(column)
-        return self._fold(column, _sum_window, _sum_stream, _sum_array, float,
-                          float.__add__)
+        total = self._fold(column, _sum_window, _sum_stream, _sum_array, float,
+                           float.__add__)
+        # the sign kept where two NaNs meet follows the compiled add's
+        # operand order, which differs between the loops
+        return math.nan if total != total else total
 
     def histogram(self, column: str, bins: int, lo: float, hi: float) -> np.ndarray:
         """Fixed-width histogram counts of a scalar numeric column on [lo, hi)."""
@@ -626,12 +630,16 @@ def _check_column(source: DataSource, column: str, arrays: bool = False) -> None
 
 
 def _binning(bins: int, lo: float, hi: float) -> tuple:
-    """``(lo, hi, width, bins)`` of a histogram; ValueError if empty."""
+    """``(lo, hi, width, bins)`` of a histogram; ValueError if it is empty
+    or its bounds or bin width are not finite, positive numbers."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if not hi > lo:
         raise ValueError("need hi > lo")
-    return lo, hi, (hi - lo) / bins, bins
+    width = (hi - lo) / bins
+    if not (-math.inf < lo and hi < math.inf and 0 < width < math.inf):
+        raise ValueError("need finite lo and hi and a finite, nonzero bin width")
+    return lo, hi, width, bins
 
 
 def direct_count(source: DataSource) -> int:

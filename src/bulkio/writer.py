@@ -19,6 +19,13 @@ and rejects a finite value past F32's range; BOOL takes each number's
 truth. Only a filled scalar that is a real number but does not fit is
 found later, when its basket is sealed: that fails the writer.
 
+A writer's ``fill`` is a function generated for its schema's shape, the
+pattern of scalar and array user branches, as ``dataclasses`` generates
+``__init__``: straight-line code, compiled once per shape per process, that
+takes a call it can check at once and hands every other call (a closed
+writer, a missing or unknown key, a scalar of another type) to the checked
+method ``TreeWriter.fill``, which raises the error.
+
 A branch's open basket is a list of disk-order chunks. ``extend`` has one
 path, adding a chunk per basket it touches, and a flush joins them.
 ``fill`` keeps scalars as they came and each array row as its own
@@ -30,6 +37,7 @@ chunk from the rows' lengths.
 from __future__ import annotations
 
 import contextlib
+import functools
 import struct
 from dataclasses import dataclass
 from os import PathLike
@@ -63,6 +71,9 @@ _NUMBER_TYPES = _PY_NUMBERS | {
 _TEXT = (str, bytes, bytearray)
 _NDARRAY = np.ndarray
 _FIXED_ARRAY = ShapeKind.FIXED_ARRAY  # a global is cheaper than an enum lookup
+# up to this many values, F32 is checked and packed by struct: an errstate
+# costs more than struct's per-value work until about 40 values
+_F32_PACKED = 32
 
 SchemaEntry = tuple[str, ElementType, BranchShape]
 
@@ -186,12 +197,19 @@ class _Branch:
             if not (bounds[0] <= v.min().item() and v.max().item() < bounds[1]):
                 raise ShapeError(self.misfit)
         try:
-            if self.etype is ElementType.F32 and (type(v) is list or v.itemsize > 4):
-                with np.errstate(over="raise"):  # a finite value past F32's range
-                    out = np.asarray(v, dtype=self.native)
-            else:
+            if self.etype is not ElementType.F32 or \
+                    (type(v) is not list and v.itemsize <= 4):
                 out = np.asarray(v, dtype=self.native)
-        except (OverflowError, ValueError, FloatingPointError):
+            elif (type(v) is list or v.ndim == 1) and len(v) <= _F32_PACKED:
+                # struct's float packing, as numpy's cast, but it raises
+                # OverflowError for exactly a finite value past F32's range
+                out = np.empty(len(v), self.native)
+                struct.pack_into(f"={len(out)}f", out, 0,
+                                 *(v if type(v) is list else v.tolist()))
+            else:  # a finite value past F32's range raises; a NaN passes
+                with np.errstate(over="raise", invalid="ignore"):
+                    out = np.asarray(v, dtype=self.native)
+        except (OverflowError, ValueError, FloatingPointError, struct.error):
             raise ShapeError(self.misfit) from None
         # a Python float in (min - 1, min) would truncate to min
         if bounds is not None and type(v) is list and v and min(v) < bounds[0]:
@@ -216,6 +234,56 @@ class _Branch:
         else:
             shape = BranchShape(self.kind)
         return BranchDescriptor(self.name, self.etype, shape, self.baskets)
+
+
+@functools.cache
+def _fill_maker(arrays: tuple[bool, ...]):
+    """Compile, once per process, the maker of a straight-line ``fill`` for
+    user branches whose kinds are ``arrays`` (in schema order, True for an
+    array branch). The maker takes the writer, the checked fill method, the
+    writer's basket capacity and _NUMBER_TYPES, then per branch its name
+    and ``rows.append`` and, for an array branch, the branch and its
+    ``row``: names and objects reach the code as arguments, never as source
+    text. The made ``fill`` does what the method does, in its order, for a
+    call whose keys are the schema's and whose scalars have a type in
+    _NUMBER_TYPES; it passes any other call, untouched, to the method."""
+    params, gets, types, rows, appends = [], [], [], [], []
+    for i, is_array in enumerate(arrays):
+        params += [f"n{i}", f"a{i}"]
+        gets.append(f"v{i} = values[n{i}]")
+        if is_array:
+            params += [f"b{i}", f"row{i}"]
+            rows.append(f"b{i}.pending = r{i} = row{i}(v{i})")
+            appends.append(f"a{i}(r{i})")
+        else:
+            types.append(f"type(v{i}) not in number_types")
+            appends.append(f"a{i}(v{i})")
+    lines = [
+        f"def make(w, checked, capacity, number_types, {', '.join(params)}):",
+        "    def fill(**values):",
+        f"        if w._closed or len(values) != {len(arrays)}:",
+        "            return checked(w, **values)",
+        "        try:",
+        *(f"            {g}" for g in gets),
+        "        except KeyError:",
+        "            return checked(w, **values)",
+    ]
+    if types:
+        lines += [f"        if {' or '.join(types)}:",
+                  "            return checked(w, **values)"]
+    lines += [
+        *(f"        {r}" for r in rows),
+        *(f"        {a}" for a in appends),
+        "        entry = w._n_filled",
+        "        w._n_filled = n = entry + 1",
+        "        if n - w._basket_first == capacity:",
+        "            w._flush()",
+        "        return entry",
+        "    return fill",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<bulkio generated fill>", "exec"), namespace)
+    return namespace["make"]
 
 
 class TreeWriter:
@@ -254,6 +322,24 @@ class TreeWriter:
             write_header(self._fobj)
         except OSError as exc:
             raise WriteError(f"cannot create {path}: {exc}") from exc
+        if type(self).fill is TreeWriter.fill:  # a subclass's override stays
+            self.fill = self._generated_fill()
+
+    def _generated_fill(self):
+        """This writer's fill, made by its shape's :func:`_fill_maker`; it
+        holds the writer, so closing the writer deletes it, and a closed
+        writer's ``fill`` is the method again."""
+        shape, args = [], []
+        for br in self._user:
+            is_array = br.kind is not ShapeKind.SCALAR
+            shape.append(is_array)
+            args += ((br.name, br.rows.append, br, br.row) if is_array
+                     else (br.name, br.rows.append))
+        fill = _fill_maker(tuple(shape))(self, TreeWriter.fill, self._capacity,
+                                         _NUMBER_TYPES, *args)
+        fill.__name__ = TreeWriter.fill.__name__
+        fill.__doc__ = TreeWriter.fill.__doc__
+        return fill
 
     def _build_branches(self, schema: Sequence[SchemaEntry]) -> None:
         counts: dict[str, _Branch] = {}
@@ -296,6 +382,10 @@ class TreeWriter:
 
     def fill(self, **values) -> int:
         """Append one event; returns the entry index it received.
+
+        A writer's ``fill`` is generated once per schema shape as
+        straight-line code; any call it cannot take at once comes here, to
+        the checked method, which raises the error.
 
         Every value is checked before any is appended, and each array value
         is copied at the call into a row of native-order bytes; the rows of
@@ -480,6 +570,7 @@ class TreeWriter:
     def _abandon(self) -> None:
         """Close the incomplete file after a failure; it must not be used."""
         self._closed = True
+        self.__dict__.pop("fill", None)
         with contextlib.suppress(OSError):
             self._fobj.close()
 
@@ -505,6 +596,7 @@ class TreeWriter:
             self._abandon()
             raise WriteError(f"close failed: {exc}") from exc
         self._closed = True
+        self.__dict__.pop("fill", None)  # ends the writer <-> fill cycle
         return WriteStats(
             n_entries=self._n_filled,
             n_baskets=sum(len(b.baskets) for b in self._branches),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bulkio import (
+    BulkBuffer,
     BulkIOError,
     Codec,
     ElementType,
@@ -553,6 +554,44 @@ def test_f32_rejects_finite_values_past_its_range(tmp_path):
         w.fill(x=value)  # a filled scalar is checked when its basket is sealed
         with pytest.raises(ShapeError, match="F32"):
             w.close()
+
+
+def test_f32_conversions_of_short_and_long_inputs_agree(tmp_path):
+    """An F32 branch converts up to 32 wider floats with struct and longer
+    inputs with numpy's cast: both give the same bits, signed zeros,
+    subnormals and NaN payloads (signalling ones too) included, print no
+    warning, and reject the same values."""
+    limit = 2.0**128 - 2.0**103  # the least float64 F32 rounds to infinity
+    rng = np.random.default_rng(11)
+    wild = rng.integers(0, 2**64, 4000, dtype=np.uint64).view("f8")
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-45, 7e-46, 7.1e-46,
+                      np.nextafter(limit, 0), -np.nextafter(limit, 0),
+                      np.inf, -np.inf, np.nan, -np.nan, 1 / 3, 3.4e38])
+    snan = np.array([0x7FF0000000000001, 0xFFF4000000000000],
+                    dtype=np.uint64).view("f8")
+    good = np.concatenate([edges, snan,
+                           wild[~(np.isfinite(wild) & (abs(wild) >= limit))]])
+    path = tmp_path / "f32.bkio"
+    with TreeWriter(path, [("x", ElementType.F32, scalar())]) as w:
+        for lo in range(0, len(good), 32):
+            w.extend(x=good[lo:lo + 32])  # 32 at most: struct
+        w.extend(x=good)  # all at once: numpy's cast
+        w.extend(x=good[:32].tolist())  # a list of Python floats
+        for bad in (limit, -limit, 1e300, 2**200):
+            for n in (1, 32, 33):
+                with pytest.raises(ShapeError, match="F32"):
+                    w.extend(x=[1.0] * (n - 1) + [bad])
+                with pytest.raises(ShapeError, match="F32"):
+                    w.extend(x=np.array([bad] * n))
+    with TreeFile(path) as tf:
+        rd, buf, parts, entry = tf.branch("x"), BulkBuffer(), [], 0
+        while entry < rd.n_entries:
+            entry += rd.get_bulk_entries(entry, buf)
+            parts.append(buf.as_array().copy())
+    got = np.concatenate(parts)
+    n = len(good)
+    assert got[:n].view("u4").tolist() == got[n:2 * n].view("u4").tolist()
+    assert got[2 * n:].view("u4").tolist() == got[:32].view("u4").tolist()
 
 
 @pytest.mark.parametrize("etype,bad", [(ElementType.U32, [np.nan, 2.0]),
