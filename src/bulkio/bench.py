@@ -12,7 +12,7 @@ checksums (that gate comes before any timing claim):
 * ``rdf-bulk``       the frame over a bulk source: a bare sum of a scalar
                      column switches to whole-basket kernels (the array
                      plan); a var column's per-event define keeps dispatch
-                     per event
+                     per event (the indexed plan)
 * ``rds-bulk``       direct source-buffer reduction, no frame dispatch
 
 Wall time covers iterating all events; readers are opened fresh for every

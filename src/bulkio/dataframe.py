@@ -3,7 +3,7 @@
 :func:`make_source` opens a file as a :class:`DataSource` with one or more
 slots, each an entry range aligned to basket boundaries. :class:`Frame`
 composes filters and derived columns lazily; nothing is read until an
-action (count / sum / histogram) runs. An action runs one of three plans
+action (count / sum / histogram) runs. An action runs one of two plans
 over each slot, and the source counts the plans it ran
 (:attr:`DataSource.plans_run`):
 
@@ -11,16 +11,13 @@ over each slot, and the source counts the plans it ran
   no define in its plan has no Python callable between the basket and the
   reduction, so the frame switches to whole-basket kernels over the
   per-basket views of :meth:`DataSource.blocks`. Their results are bit for
-  bit those of the per-event loops: a sum is the same left fold in float64.
-* ``streamed``: a BULK plan without filters loads each column the action
-  reads into its reader's window, one basket at a time, and decodes it once
-  into a list of per-event values; the action iterates the column's list,
-  and a define is ``map``-ped over fresh streams of its arguments.
-* ``indexed``: with filters, and in every PER_ENTRY window, the node chain
-  is compiled once per window into per-entry accessors and indexed by
+  bit those of the per-event loop: a sum is the same left fold in float64.
+* ``indexed``: every other plan, and every PER_ENTRY one. The node chain is
+  compiled once per window into per-entry accessors and indexed by
   position, so filters short-circuit. In PER_ENTRY mode the window is the
   whole slot and each column value is one ``BranchReader.get_entry`` call;
-  in BULK mode a window is one basket, decoded as for ``streamed``.
+  in BULK mode a window is one basket, loaded into each column's reader
+  and decoded once into a list of per-event values.
 
 Readers live only while their action runs. :func:`direct_sum` and friends
 bypass the frame and reduce over the same per-basket views, which
@@ -30,7 +27,7 @@ Predicates and expressions are plain Python callables over the named
 columns' values, applied in declaration order; a filter chain stops at the
 first false predicate, and a define is evaluated each time it is referenced.
 A ``StopIteration`` from a define or filter raises ``RuntimeError`` from the
-action, in every window.
+action.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ import weakref
 from bisect import bisect_left
 from contextlib import closing
 from functools import partial
-from itertools import chain, compress, repeat, starmap
-from operator import length_hint
 from os import PathLike
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -165,7 +160,7 @@ class DataSource:
         self.slot_ranges = list(zip(splits[:-1], splits[1:]))
         self._live: set[BranchReader] = set()  # readers of running actions
         self._released_baskets = 0
-        self._plans = dict.fromkeys(("array", "streamed", "indexed"), 0)
+        self._plans = dict.fromkeys(("array", "indexed"), 0)
 
     @property
     def n_entries(self) -> int:
@@ -191,8 +186,8 @@ class DataSource:
 
     @property
     def plans_run(self) -> dict[str, int]:
-        """How many frame actions on this source ran each plan: ``array``,
-        ``streamed`` or ``indexed`` (see :class:`Frame`); a copy."""
+        """How many frame actions on this source ran each plan: ``array``
+        or ``indexed`` (see :class:`Frame`); a copy."""
         return dict(self._plans)
 
     def _open(self, column: str) -> BranchReader:
@@ -222,13 +217,12 @@ class DataSource:
         weakref.finalize(col, self._release, [rd])
         return col
 
-    def _windows(self, slot: int, columns: Sequence[str], lists: bool = False):
+    def _windows(self, slot: int, columns: Sequence[str]):
         """``(entries, {column: value of entry})`` for each window of a slot.
 
         PER_ENTRY: one window, the slot's entries, each value one
         ``get_entry`` call. BULK: one window per basket, entries ``0..n-1``
-        indexing each column's values decoded from that basket; with
-        ``lists``, each column maps to that list of values itself. The
+        indexing each column's values decoded from that basket. The
         readers are released when the generator finishes or is closed.
         """
         start, stop = self.slot_ranges[slot]
@@ -246,8 +240,7 @@ class DataSource:
             edges.append(stop)
             for first, end in zip(edges, edges[1:]):
                 yield range(end - first), {
-                    c: col.load(first) if lists else col.load(first).__getitem__
-                    for c, col in zip(columns, cols)}
+                    c: col.load(first).__getitem__ for c, col in zip(columns, cols)}
         finally:
             self._release(readers)
 
@@ -389,14 +382,13 @@ class Frame:
 
     def count(self) -> int:
         """Number of events passing all filters."""
-        return self._fold(None, _count_window, None, None, int, int.__add__)
+        return self._fold(None, _count_window, None, int, int.__add__)
 
     def sum(self, column: str) -> float:
         """Float64 sum of a scalar numeric column over passing events; a NaN
         sum is ``math.nan``, whose sign does not depend on the plan."""
         self._check_action_column(column)
-        total = self._fold(column, _sum_window, _sum_stream, _sum_array, float,
-                           float.__add__)
+        total = self._fold(column, _sum_window, _sum_array, float, float.__add__)
         # the sign kept where two NaNs meet follows the compiled add's
         # operand order, which differs between the loops
         return math.nan if total != total else total
@@ -406,7 +398,6 @@ class Frame:
         binning = _binning(bins, lo, hi)
         self._check_action_column(column)
         counts = self._fold(column, partial(_hist_window, *binning),
-                            partial(_hist_stream, *binning),
                             partial(_hist_array, *binning), lambda: [0] * bins,
                             lambda a, b: list(map(int.__add__, a, b)))
         return np.asarray(counts, dtype=np.int64)
@@ -430,17 +421,13 @@ class Frame:
         nodes.reverse()
         return [c for c in self._source.column_names if c in needed], nodes
 
-    def _fold(self, column: Optional[str], window, stream_window, array_window,
-              zero, combine):
-        """Run an action over every slot with one of three plans, counted in
+    def _fold(self, column: Optional[str], window, array_window, zero, combine):
+        """Run an action over every slot with one of two plans, counted in
         the source's :attr:`DataSource.plans_run`:
 
         * ``array``: a BULK plan with no node, on a catalog column, runs
           ``array_window(acc, views)`` over the slot's basket views from
           :meth:`DataSource.blocks`;
-        * ``streamed``: a BULK plan without filters runs
-          ``stream_window(acc, values)`` over the action column's values in
-          each window;
         * ``indexed``: every other plan runs
           ``window(acc, entries, read, passes)`` over each window.
 
@@ -448,28 +435,20 @@ class Frame:
         in slot order."""
         columns, nodes = self._plan(column)
         source = self._source
-        if (column is None or source.mode is SourceMode.PER_ENTRY
-                or any(isinstance(n, _FilterNode) for n in nodes)):
-            plan = "indexed"
-        else:
-            plan = "streamed" if nodes else "array"
-        source._plans[plan] += 1
+        array = (column is not None and not nodes
+                 and source.mode is SourceMode.BULK)
+        source._plans["array" if array else "indexed"] += 1
         result = zero()
-        stream = plan == "streamed"
         for slot in range(source.n_slots):
             acc = zero()
-            if plan == "array":
+            if array:
                 with closing(source.blocks(column, slot)) as views:
                     acc = array_window(acc, views)
             else:
-                with closing(source._windows(slot, columns, stream)) as windows:
+                with closing(source._windows(slot, columns)) as windows:
                     for entries, values in windows:
-                        if stream:
-                            acc = stream_window(acc, _action_stream(
-                                nodes, values, len(entries), column))
-                            continue
                         read, passes = _compile(nodes, values, column)
-                        try:  # would end a caller's generator or map silently
+                        try:  # would end a caller's generator silently
                             acc = window(acc, entries, read, passes)
                         except StopIteration as exc:
                             raise RuntimeError(
@@ -505,37 +484,6 @@ def _compile(nodes, values: dict, column: Optional[str]):
     return (get[column] if column is not None else None), passes
 
 
-def _stream(defines, lists: dict, n: int, column: str) -> Iterator:
-    """``column``'s values over one window of ``n`` events: an iterator over
-    a catalog column's decoded list, or a define mapped over fresh streams
-    of its arguments, one per reference. ``map`` pulls one value from each
-    argument in order before each call, so defines run per event, left to
-    right, once per reference, as the indexed chain runs them."""
-    node = next((d for d in defines if d.name == column), None)
-    if node is None:
-        return iter(lists[column])
-    if not node.columns:
-        return starmap(node.fn, repeat((), n))
-    return map(node.fn, *[_stream(defines, lists, n, c) for c in node.columns])
-
-
-def _action_stream(defines, lists: dict, n: int, column: str) -> Iterator:
-    """The action column's :func:`_stream`, a define (a plan without one
-    runs as ``array``). ``map`` ends early, silently, when a define raises
-    StopIteration, which would drop the rest of the window; so the events
-    are counted, and a window cut short raises RuntimeError, as a generator
-    does (PEP 479)."""
-    left = repeat(True, n)
-    return chain(compress(_stream(defines, lists, n, column), left),
-                 _none_left(left))
-
-
-def _none_left(left: Iterator) -> Iterator:
-    if length_hint(left):
-        raise RuntimeError("a define raised StopIteration")
-    yield from ()
-
-
 # The indexed inner loops, the same for both source modes: ``entries``
 # indexes the window's values (BULK) or the slot's entries (PER_ENTRY).
 
@@ -565,23 +513,6 @@ def _hist_window(lo: float, hi: float, width: float, bins: int,
         if passes is not None and not passes(e):
             continue
         v = read(e)
-        if lo <= v < hi:
-            counts[_hist_scalar(v, lo, width, bins)] += 1
-    return counts
-
-
-# The streaming inner loops of a BULK window without filters: one value of
-# the action column per event, in entry order.
-
-def _sum_stream(acc: float, values: Iterator) -> float:
-    for v in values:
-        acc += v
-    return acc
-
-
-def _hist_stream(lo: float, hi: float, width: float, bins: int,
-                 counts: list, values: Iterator) -> list:
-    for v in values:
         if lo <= v < hi:
             counts[_hist_scalar(v, lo, width, bins)] += 1
     return counts

@@ -380,21 +380,15 @@ def validate_footer(footer: FileFooter) -> None:
                 f"branch {br.name!r} covers {expect_first} entries, "
                 f"file has {footer.n_entries}"
             )
-        if br.shape.kind is ShapeKind.FIXED_ARRAY:
-            k, w = br.shape.fixed_len, br.element.width_bytes
+        w = br.element.width_bytes
+        if br.shape.kind is not ShapeKind.VAR_ARRAY:
+            k = br.shape.fixed_len if br.shape.kind is ShapeKind.FIXED_ARRAY else 1
             for bk in br.baskets:
                 if bk.uncompressed_size != bk.n_entries * k * w:
                     raise FormatError(
                         f"branch {br.name!r}: basket size inconsistent with shape"
                     )
-        elif br.shape.kind is ShapeKind.SCALAR:
-            w = br.element.width_bytes
-            for bk in br.baskets:
-                if bk.uncompressed_size != bk.n_entries * w:
-                    raise FormatError(
-                        f"branch {br.name!r}: basket size inconsistent with shape"
-                    )
-        elif br.shape.kind is ShapeKind.VAR_ARRAY:
+        else:
             ci = br.shape.count_branch
             if not 0 <= ci < len(footer.branches):
                 raise FormatError(
@@ -411,7 +405,6 @@ def validate_footer(footer: FileFooter) -> None:
                 raise FormatError(
                     f"branch {br.name!r}: count branch basket boundaries differ"
                 )
-            w = br.element.width_bytes
             if any(bk.uncompressed_size % w for bk in br.baskets):
                 raise FormatError(
                     f"branch {br.name!r}: basket size is not whole elements"

@@ -188,7 +188,7 @@ class _Branch:
                 raise self.not_numbers(v.dtype)
             elif v.dtype.itemsize > 8 or (kind in "iu" and self.native.kind == "f"):
                 # long doubles, and ints for a float type: float64 first, as float()
-                with np.errstate(over="ignore"):
+                with np.errstate(over="ignore", invalid="ignore"):
                     v = v.astype(np.float64)
         bounds = self.bounds
         if bounds is not None and type(v) is not list and v.size \
@@ -199,7 +199,12 @@ class _Branch:
         try:
             if self.etype is not ElementType.F32 or \
                     (type(v) is not list and v.itemsize <= 4):
-                out = np.asarray(v, dtype=self.native)
+                if type(v) is list or v.dtype == self.native \
+                        or not v.dtype.kind == self.native.kind == "f":
+                    out = np.asarray(v, dtype=self.native)
+                else:  # widening quiets a signalling NaN, which numpy flags
+                    with np.errstate(invalid="ignore"):
+                        out = np.asarray(v, dtype=self.native)
             elif (type(v) is list or v.ndim == 1) and len(v) <= _F32_PACKED:
                 # struct's float packing, as numpy's cast, but it raises
                 # OverflowError for exactly a finite value past F32's range

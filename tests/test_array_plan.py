@@ -127,12 +127,12 @@ def _check_plans(path, etype, values, bins, lo, hi) -> None:
             want_hist = ref.histogram("x", bins, lo, hi).tolist()
             assert _same(Frame(bulk).sum("x"), want_sum)
             assert Frame(bulk).histogram("x", bins, lo, hi).tolist() == want_hist
-            assert bulk.plans_run == {"array": 2, "streamed": 0, "indexed": 0}
+            assert bulk.plans_run == {"array": 2, "indexed": 0}
             assert _same(indexed.sum("x"), want_sum)
             assert indexed.histogram("x", bins, lo, hi).tolist() == want_hist
             assert direct_histogram(bulk, "x", bins, lo, hi).tolist() == want_hist
-            assert bulk.plans_run == {"array": 2, "streamed": 0, "indexed": 2}
-            assert per_entry.plans_run == {"array": 0, "streamed": 0, "indexed": 2}
+            assert bulk.plans_run == {"array": 2, "indexed": 2}
+            assert per_entry.plans_run == {"array": 0, "indexed": 2}
             # the oracle: Python's own left fold per slot, slots in order,
             # and Python's own range test
             total = 0.0
@@ -191,9 +191,9 @@ def test_a_nan_sum_is_one_nan_in_every_plan_and_mode(tmp_path, n_slots):
                     frame.filter(lambda x: True, ["x"]).sum("x")]
             assert [_bits(s) for s in sums] == [_bits(math.nan)] * 3
             assert src.plans_run == (
-                {"array": 1, "streamed": 1, "indexed": 1}
+                {"array": 1, "indexed": 2}
                 if mode is SourceMode.BULK
-                else {"array": 0, "streamed": 0, "indexed": 3})
+                else {"array": 0, "indexed": 3})
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -219,7 +219,7 @@ def test_histogram_rejects_bounds_without_a_finite_width(tmp_path, lo, hi):
                 else:
                     assert str(err.value) == ("need finite lo and hi and a "
                                               "finite, nonzero bin width")
-            assert src.plans_run == {"array": 0, "streamed": 0, "indexed": 0}
+            assert src.plans_run == {"array": 0, "indexed": 0}
 
 
 def test_direct_histogram_compares_8_byte_integers_exactly(tmp_path):
@@ -261,7 +261,7 @@ def test_array_plan_runs_exactly_when_the_plan_has_no_node(tmp_path, n_slots):
             "unused", _counting(calls, "unused", lambda x: x), ["x"])
         frame.sum("x")
         frame.histogram("x", 4, 0.0, 50.0)
-        assert src.plans_run == {"array": 2, "streamed": 0, "indexed": 0}
+        assert src.plans_run == {"array": 2, "indexed": 0}
         assert calls == []
 
         twice = frame.define("d", _counting(calls, "d", lambda x: 2.0 * x), ["x"])
@@ -269,7 +269,7 @@ def test_array_plan_runs_exactly_when_the_plan_has_no_node(tmp_path, n_slots):
                             ["d", "d"])
         assert both.sum("dd") == 4.0 * sum(range(n))
         assert calls.count("d") == 2 * n and calls.count("dd") == n
-        assert src.plans_run == {"array": 2, "streamed": 1, "indexed": 0}
+        assert src.plans_run == {"array": 2, "indexed": 1}
 
         calls.clear()
         kept = frame.filter(_counting(calls, "f", lambda x: x < 10.0), ["x"])
@@ -277,8 +277,8 @@ def test_array_plan_runs_exactly_when_the_plan_has_no_node(tmp_path, n_slots):
         assert kept.histogram("x", 2, 0.0, 10.0).tolist() == [5, 5]
         assert calls == ["f"] * (2 * n)
         assert frame.count() == n
-        assert src.plans_run == {"array": 2, "streamed": 1, "indexed": 3}
+        assert src.plans_run == {"array": 2, "indexed": 4}
         assert "unused" not in calls
     with make_source(path, mode=SourceMode.PER_ENTRY, n_slots=n_slots) as src:
         Frame(src).sum("x")
-        assert src.plans_run == {"array": 0, "streamed": 0, "indexed": 1}
+        assert src.plans_run == {"array": 0, "indexed": 1}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -592,6 +593,58 @@ def test_f32_conversions_of_short_and_long_inputs_agree(tmp_path):
     n = len(good)
     assert got[:n].view("u4").tolist() == got[n:2 * n].view("u4").tolist()
     assert got[2 * n:].view("u4").tolist() == got[:32].view("u4").tolist()
+
+
+def test_f4_values_widen_into_f64_branches_bit_for_bit(tmp_path):
+    """f4 values, signalling NaNs included, widen into F64 scalar, fixed and
+    var branches from every container, print no warning, and are written
+    as numpy's own f4 -> f8 cast writes them."""
+    f4 = np.array([0x7F800001, 0xFFA00001, 0x7FC00000, 0x3F800000, 0x80000000,
+                   0x00000001, 0xFF800000], dtype=np.uint32).view("f4")
+    with np.errstate(invalid="ignore"):
+        want = f4.astype("f8").view("u8").tolist()
+    n = len(f4)
+    path = tmp_path / "f64.bkio"
+    schema = [("x", ElementType.F64, scalar()),
+              ("a", ElementType.F64, fixed_array(n)),
+              ("v", ElementType.F64, var_array())]
+    with TreeWriter(path, schema, basket_capacity_entries=n) as w:
+        rows = np.tile(f4, (n, 1))
+        w.extend(x=f4, a=rows, v=(rows.ravel(), np.full(n, n, "u4")))
+        w.extend(x=list(f4), a=[list(f4)] * n, v=[list(f4)] * n)
+        for value in f4:  # a numpy scalar is converted when its basket seals
+            w.fill(x=value, a=f4, v=f4)
+    with TreeFile(path) as tf:
+        for name, per_event in (("x", 1), ("a", n), ("v", n)):
+            rd, buf, parts, entry = tf.branch(name), BulkBuffer(), [], 0
+            while entry < rd.n_entries:
+                entry += rd.get_bulk_entries(entry, buf)
+                parts.append(buf.as_array().copy())
+            got = np.concatenate(parts).view("u8").tolist()
+            assert len(got) == 3 * n * per_event
+            assert got == want * (len(got) // n)
+
+
+def test_long_double_signalling_nan_widens_without_a_warning(tmp_path):
+    """Long doubles go through float64 first; a signalling NaN among them
+    is written as numpy's own cast writes it, with no warning."""
+    if np.finfo(np.longdouble).nmant != 63:
+        pytest.skip("builds an x87 80-bit long double")
+    raw = np.zeros((2, np.dtype(np.longdouble).itemsize), np.uint8)
+    raw[0, :10] = list((0x7FFF8000000000000001).to_bytes(10, "little"))
+    raw[1, :10] = list((0x3FFF8000000000000000).to_bytes(10, "little"))  # 1.0
+    ld = raw.view(np.longdouble).ravel()
+    with np.errstate(invalid="ignore"):
+        want = ld.astype("f8").view("u8").tolist()
+    path = tmp_path / "ld.bkio"
+    with TreeWriter(path, [("x", ElementType.F64, scalar()),
+                           ("y", ElementType.F32, scalar())]) as w:
+        w.extend(x=ld, y=ld)
+    with TreeFile(path) as tf:
+        x, y = tf.branch("x"), tf.branch("y")
+        got = [x.get_entry(i) for i in range(2)]
+        assert np.array(got).view("u8").tolist() == want
+        assert math.isnan(y.get_entry(0)) and y.get_entry(1) == 1.0
 
 
 @pytest.mark.parametrize("etype,bad", [(ElementType.U32, [np.nan, 2.0]),
