@@ -21,7 +21,7 @@ over each slot, and the source counts the plans it ran
 
 Readers live only while their action runs. :func:`direct_sum` and friends
 bypass the frame and reduce over the same per-basket views, which
-:meth:`DataSource.blocks` takes from its reader's window.
+:meth:`DataSource.blocks` loads basket by basket into its own reader.
 
 Predicates and expressions are plain Python callables over the named
 columns' values, applied in declaration order; a filter chain stops at the
@@ -144,18 +144,14 @@ class DataSource:
         self.mode = SourceMode(mode)
         self.n_slots = n_slots
         footer = self._tf.footer
-        bounds = None
-        for br in footer.branches:
-            b = [bk.first_entry for bk in br.baskets]
-            if bounds is None:
-                bounds = b
-            elif b != bounds:
-                self._tf.close()
-                raise FormatError(
-                    "branches have differing basket boundaries; cannot "
-                    "partition into slots"
-                )
-        self._firsts = bounds or []  # basket starts, the same in every branch
+        starts = [self._tf._file.starts(br) for br in footer.branches]
+        if any(b != starts[0] for b in starts[1:]):
+            self._tf.close()
+            raise FormatError(
+                "branches have differing basket boundaries; cannot "
+                "partition into slots"
+            )
+        self._firsts = starts[0] if starts else []  # the same in every branch
         splits = _slot_splits(self._firsts, footer.n_entries, n_slots)
         self.slot_ranges = list(zip(splits[:-1], splits[1:]))
         self._live: set[BranchReader] = set()  # readers of running actions
@@ -247,24 +243,30 @@ class DataSource:
     def blocks(self, column: str, slot: Optional[int] = None) -> Iterator[np.ndarray]:
         """Serialized per-basket element views over a slot range (or all slots).
 
-        This is the bulk seam the direct reductions consume: each view is
-        the window of the generator's own reader, valid until the next one,
-        and decodes lazily, so deserialization happens inside the caller's
-        loop. Array columns yield every element of the basket. The window's
-        load checks BOOL bytes, so an invalid one raises FormatError.
+        This is the bulk seam the direct reductions consume. It walks each
+        slot range's baskets by index, bisecting only the range's two ends,
+        and loads each into its own reader's buffer through the reader's one
+        basket load, which checks BOOL bytes (an invalid one raises
+        FormatError), var counts and truncation, and raises FileClosed once
+        the file is closed. Each view is valid until the next one and
+        decodes lazily, so deserialization happens inside the caller's loop.
+        Array columns yield every element of the basket.
         """
         ranges = self.slot_ranges if slot is None else [self.slot_ranges[slot]]
         self.column_info(column)  # an unknown column raises here, not at next()
+        firsts = self._firsts
 
         def gen():
             rd = self._open(column)
             try:
+                load, buf, counts = rd._load, rd._ck_buf, rd._ck_counts
+                if not rd._var:  # the footer's size rule checked the others
+                    counts = None
+                disk = rd._dtypes[1]
                 for start, stop in ranges:
-                    entry = start
-                    while entry < stop:
-                        rd._seek_entry(entry)
-                        yield rd._ck_buf.as_array()
-                        entry = rd._ck_end
+                    for idx in range(bisect_left(firsts, start),
+                                     bisect_left(firsts, stop)):
+                        yield load(idx, buf, counts).view(disk)
             finally:
                 self._release([rd])
 
@@ -580,13 +582,17 @@ def direct_count(source: DataSource) -> int:
 
 def direct_sum(source: DataSource, column: str) -> float:
     """Float64 sum of every element of a numeric column (scalar or array),
-    reduced basket-by-basket over source buffers."""
+    reduced basket-by-basket over the serialized views of
+    :meth:`DataSource.blocks`. Each basket is one ``np.add.reduce`` in
+    float64, the kernel and the bits of ``np.sum``; basket sums add up in
+    order within a slot, and slot sums in slot order."""
     _check_column(source, column, arrays=True)
+    reduce, f8 = np.add.reduce, np.float64  # np.sum's kernel, not its wrapper
     total = 0.0
     for slot in range(source.n_slots):
         acc = 0.0
         for view in source.blocks(column, slot):
-            acc += float(np.sum(view, dtype=np.float64))
+            acc += float(reduce(view, dtype=f8))
         total += acc
     return total
 

@@ -3,19 +3,20 @@
 A :class:`BranchReader` resolves entries to baskets and keeps one loaded
 basket, its window: the basket's serialized bytes plus, for array
 branches, its per-event element counts. ``get_entry`` reads through the
-window, and so do the fast iterator, the bulk frame's columns and
-``DataSource.blocks``, each in the window of a reader of its own. The two
-bulk calls instead hand a whole basket to a caller-owned
-:class:`BulkBuffer`, either deserialized to native layout or byte-for-byte
-in on-disk order; var-array baskets additionally fill a
-:class:`CountBuffer` with per-event element counts.
+window, and so do the fast iterator and the bulk frame's columns, each in
+the window of a reader of its own. ``DataSource.blocks`` walks a slot's
+baskets by index through its own reader's buffer. The two bulk calls
+instead hand a whole basket to a caller-owned :class:`BulkBuffer`, either
+deserialized to native layout or byte-for-byte in on-disk order; var-array
+baskets additionally fill a :class:`CountBuffer` with per-event element
+counts.
 
 Every read in the library goes through one basket load
-(``BranchReader._load``), whose callers are the window load and the two
-bulk calls. It checks a BOOL basket's bytes once, for every caller except
-``get_entries_serialized``, which hands raw bytes out. It also fills the
-counts, and raises :class:`FormatError` when a var basket's counts do not
-add up to its payload.
+(``BranchReader._load``), whose callers are the window load, ``blocks``
+and the two bulk calls. It checks a BOOL basket's bytes once, for every
+caller except ``get_entries_serialized``, which hands raw bytes out. It
+also fills the counts, and raises :class:`FormatError` when a var basket's
+counts do not add up to its payload.
 
 Readers use offset-addressed reads (``os.pread``), so any number of
 BranchReaders may share one open :class:`TreeFile`, including from
@@ -64,6 +65,11 @@ _DISK_STRUCTS = {t: struct.Struct(">" + t.struct_char) for t in ElementType}
 # a BOOL basket's bytes before anything decodes them
 _NATIVE_STRUCTS[ElementType.BOOL] = struct.Struct("=?")
 _DISK_STRUCTS[ElementType.BOOL] = struct.Struct(">?")
+# (native, disk) unsigned ints per element width: swapping through them keeps
+# every float bit pattern, NaN payloads included
+_UINTS = {w: (np.dtype(f"u{w}"), np.dtype(f">u{w}")) for w in (1, 2, 4, 8)}
+_VIEW_DTYPES = {t: (np.dtype(t.np_native), np.dtype(t.np_disk)) for t in ElementType}
+_CODEC_NONE = Codec.NONE  # a global is cheaper than an enum lookup
 
 
 class BufferState(enum.Enum):
@@ -115,12 +121,12 @@ class BulkBuffer:
         Deserialized buffers view as the native dtype; serialized buffers as
         the on-disk big-endian dtype, so element access decodes lazily.
         """
-        if self.state is None:
+        state = self.state
+        if state is None:
             raise IndexOutOfRange("buffer has not been filled")
-        et = self.element_type
-        if self.state is BufferState.DESERIALIZED:
-            return self._mem[:self._nbytes].view(et.np_native)
-        return self._mem[:self._nbytes].view(et.np_disk)
+        dtypes = _VIEW_DTYPES[self.element_type]
+        return self._mem[:self._nbytes].view(
+            dtypes[state is BufferState.SERIALIZED])
 
     def value_at(self, etype: ElementType, idx: int):
         """Decode the idx-th element, interpreting the bytes as ``etype``.
@@ -185,7 +191,7 @@ class CountBuffer:
 class _OpenFile:
     """A TreeFile's descriptor, shared by its readers; -1 once closed."""
 
-    __slots__ = ("fobj", "fd", "payload_end", "cached")
+    __slots__ = ("fobj", "fd", "payload_end", "cached", "_starts")
 
     def __init__(self, fobj, payload_end: int):
         self.fobj = fobj  # keeps the file open as long as any reader lives
@@ -193,6 +199,15 @@ class _OpenFile:
         self.payload_end = payload_end  # where the footer begins
         # every reader, whose window must not outlive close
         self.cached: "weakref.WeakSet[BranchReader]" = weakref.WeakSet()
+        self._starts: dict[str, list[int]] = {}
+
+    def starts(self, desc: BranchDescriptor) -> list[int]:
+        """The first entry of each basket of a branch, built once per file
+        and shared by its readers, which never modify it."""
+        firsts = self._starts.get(desc.name)
+        if firsts is None:
+            firsts = self._starts[desc.name] = [b.first_entry for b in desc.baskets]
+        return firsts
 
     def close(self) -> None:
         # the closed descriptor's number may soon belong to another file
@@ -212,18 +227,18 @@ class BranchReader:
     __slots__ = ("_file", "_desc", "_etype", "_width", "_k", "_baskets",
                  "_firsts", "_n_entries", "_ck_first", "_ck_end", "_ck_payload",
                  "_ck_buf", "_ck_counts", "_baskets_read", "_unpack_from",
-                 "_uint", "__weakref__")
+                 "_uint", "_dtypes", "_bool", "_var", "__weakref__")
 
     def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
         self._file = file
         self._desc = descriptor
-        self._etype = descriptor.element
-        self._width = descriptor.element.width_bytes
+        self._etype = etype = descriptor.element
+        self._width = etype.width_bytes
         shape = descriptor.shape
         # elements per event, except for var arrays (counted per basket)
         self._k = shape.fixed_len if shape.kind is ShapeKind.FIXED_ARRAY else 1
         self._baskets = descriptor.baskets
-        self._firsts = [b.first_entry for b in descriptor.baskets]
+        self._firsts = file.starts(descriptor)
         self._n_entries = descriptor.n_entries
         self._ck_first = 0
         self._ck_end = 0
@@ -231,10 +246,12 @@ class BranchReader:
         self._ck_buf = BulkBuffer()
         self._ck_counts: Optional[CountBuffer] = None
         self._baskets_read = 0
-        self._unpack_from = _DISK_STRUCTS[self._etype].unpack_from
-        # (native, disk) unsigned ints of the element width: swapping through
-        # them keeps every float bit pattern, NaN payloads included
-        self._uint = (np.dtype(f"u{self._width}"), np.dtype(f">u{self._width}"))
+        self._unpack_from = _DISK_STRUCTS[etype].unpack_from
+        # what each load of a basket needs, looked up once per reader
+        self._uint = _UINTS[self._width]
+        self._dtypes = _VIEW_DTYPES[etype]  # (native, disk)
+        self._bool = etype is ElementType.BOOL
+        self._var = shape.kind is ShapeKind.VAR_ARRAY
         file.cached.add(self)
 
     # --- metadata ---
@@ -288,73 +305,75 @@ class BranchReader:
     def _drop_cache(self) -> None:
         self._ck_first = self._ck_end = 0  # every entry misses the window
 
-    def _open_fd(self, bk: BasketDescriptor) -> int:
-        """The descriptor to read ``bk`` from, once it is known to lie in the
-        payload region; one running into the footer was cut short."""
+    def _read(self, bk: BasketDescriptor,
+              mem: Optional[np.ndarray] = None) -> Optional[bytes]:
+        """Read ``bk``'s stored bytes, into ``mem`` when given (a codec-none
+        basket's buffer) or else as new bytes, and count the basket read. A
+        closed file raises FileClosed; a basket running into the footer, or
+        a short read, means truncation."""
         fd = self._file.fd
         if fd < 0:
             raise FileClosed(f"branch {self._desc.name!r}: its file is closed")
-        if bk.file_offset + bk.compressed_size > self._file.payload_end:
+        size = bk.compressed_size
+        if bk.file_offset + size > self._file.payload_end:
             raise DecompressError(
                 f"truncated basket at entry {bk.first_entry} of branch "
                 f"{self._desc.name!r}: it runs into the footer at byte "
                 f"{self._file.payload_end}"
             )
-        return fd
-
-    def _got(self, bk: BasketDescriptor, nbytes: int) -> None:
-        """Count a basket read of ``nbytes``; a short read means truncation."""
-        if nbytes != bk.compressed_size:
+        if mem is None:
+            raw = os.pread(fd, size, bk.file_offset)
+            got = len(raw)
+        else:
+            raw = None
+            got = os.preadv(fd, [mem], bk.file_offset) if size else 0
+        if got != size:
             raise DecompressError(
                 f"truncated basket at entry {bk.first_entry} of branch "
-                f"{self._desc.name!r}: read {nbytes} of {bk.compressed_size} bytes"
+                f"{self._desc.name!r}: read {got} of {size} bytes"
             )
         self._baskets_read += 1
+        return raw
 
     def _fetch(self, bk: BasketDescriptor) -> bytes:
-        raw = os.pread(self._open_fd(bk), bk.compressed_size, bk.file_offset)
-        self._got(bk, len(raw))
-        return decompress_payload(raw, bk.codec, bk.uncompressed_size)
+        return decompress_payload(self._read(bk), bk.codec, bk.uncompressed_size)
 
     def _load(self, idx: int, buf: BulkBuffer, counts: Optional[CountBuffer] = None,
               state: BufferState = BufferState.SERIALIZED,
-              check_bool: bool = True) -> None:
+              check_bool: bool = True) -> np.ndarray:
         """Fill ``buf`` with basket ``idx``: the one basket load of every read.
 
-        It checks a BOOL basket's bytes, unless ``check_bool`` is false.
-        Given ``counts``, it fills them with the basket's per-event element
-        counts, whose ``offsets()`` index its events: computed for scalars
-        and fixed arrays, read from the count basket for var arrays, where
-        counts that do not add up to the payload raise FormatError. A failed
-        load leaves ``buf`` unfilled.
+        Returns the filled bytes (``u1``). It checks a BOOL basket's bytes,
+        unless ``check_bool`` is false. Given ``counts``, it fills them with
+        the basket's per-event element counts, whose ``offsets()`` index its
+        events: computed for scalars and fixed arrays, read from the count
+        basket for var arrays, where counts that do not add up to the
+        payload raise FormatError. A failed load leaves ``buf`` unfilled.
         """
         bk = self._baskets[idx]
-        etype = self._etype
         nbytes = bk.uncompressed_size
         swap = state is BufferState.DESERIALIZED and self._width > 1
         try:
             # a compressed basket is inflated before the buffer is sized, so a
             # recorded size its stream does not reach allocates nothing
-            payload = None if bk.codec is Codec.NONE else self._fetch(bk)
-            mem = buf._prepare(nbytes, etype, state, bk.n_entries,
+            payload = None if bk.codec is _CODEC_NONE else self._fetch(bk)
+            mem = buf._prepare(nbytes, self._etype, state, bk.n_entries,
                                nbytes // self._width)
             if payload is None:
-                fd = self._open_fd(bk)
-                self._got(bk, os.preadv(fd, [mem], bk.file_offset) if nbytes else 0)
+                self._read(bk, mem)
                 if swap:  # numpy swaps two views of one memory without a copy
                     np.copyto(mem.view(self._uint[0]), mem.view(self._uint[1]))
             elif swap:
-                mem.view(etype.np_native)[:] = np.frombuffer(payload,
-                                                             dtype=etype.np_disk)
+                mem.view(self._dtypes[0])[:] = np.frombuffer(payload,
+                                                             dtype=self._dtypes[1])
             else:  # 1-byte types copy verbatim, so the BOOL check sees raw bytes
                 mem[:] = np.frombuffer(payload, dtype="u1")
-            if (check_bool and etype is ElementType.BOOL and nbytes
-                    and int(mem.max()) > 1):
+            if check_bool and self._bool and nbytes and int(mem.max()) > 1:
                 raise FormatError(f"invalid BOOL byte in basket at entry "
                                   f"{bk.first_entry} of branch {self._desc.name!r}")
             if counts is None:
-                return
-            if self._desc.shape.kind is ShapeKind.VAR_ARRAY:
+                return mem
+            if self._var:
                 cr = self.count_reader
                 counts._set(np.frombuffer(cr._fetch(cr._baskets[idx]), dtype=">u4"))
                 total = counts.total()
@@ -369,6 +388,7 @@ class BranchReader:
         except BaseException:
             buf._prepare(0, None, None, 0, 0)
             raise
+        return mem
 
     # --- bulk reads ---
 
@@ -390,7 +410,7 @@ class BranchReader:
         bytes are handed out unchecked. Returns the basket's event count.
         """
         idx = self._basket_at_start(entry)
-        if self._desc.shape.kind is ShapeKind.VAR_ARRAY and count_buf is None:
+        if self._var and count_buf is None:
             raise CountBufferRequired(
                 f"branch {self._desc.name!r} is a var array; pass a CountBuffer"
             )
@@ -407,7 +427,7 @@ class BranchReader:
         bk = self._baskets[idx]
         counts = self._ck_counts
         if (counts is not None and counts.event_count == bk.n_entries
-                and self._desc.shape.kind is ShapeKind.FIXED_ARRAY):
+                and not self._var):
             counts = None  # they are already n copies of the fixed length
         self._load(idx, self._ck_buf, counts)
         self._ck_first = first = bk.first_entry
@@ -425,7 +445,7 @@ class BranchReader:
 class _ArrayReader(BranchReader):
     """Fixed and var arrays: ``get_entry`` slices the basket by its offsets."""
 
-    __slots__ = ("count_reader", "_ck_view", "_ck_offsets", "_native")
+    __slots__ = ("count_reader", "_ck_view", "_ck_offsets")
 
     def __init__(self, file: _OpenFile, descriptor: BranchDescriptor,
                  count_descriptor: Optional[BranchDescriptor] = None):
@@ -433,7 +453,6 @@ class _ArrayReader(BranchReader):
         self._ck_counts = CountBuffer()
         self._ck_view = None
         self._ck_offsets: list[int] = []
-        self._native = descriptor.element.np_native
         if count_descriptor is not None:  # var arrays: their u32 count branch
             self.count_reader = BranchReader(file, count_descriptor)
 
@@ -446,7 +465,7 @@ class _ArrayReader(BranchReader):
             first = self._ck_first
         offs = self._ck_offsets
         local = entry - first
-        return self._ck_view[offs[local]:offs[local + 1]].astype(self._native)
+        return self._ck_view[offs[local]:offs[local + 1]].astype(self._dtypes[0])
 
 
 def _make_reader(file: _OpenFile, footer: FileFooter, index: int) -> BranchReader:

@@ -40,6 +40,7 @@ import contextlib
 import functools
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from os import PathLike
 from typing import Sequence, Union
 
@@ -220,6 +221,30 @@ class _Branch:
         if bounds is not None and type(v) is list and v and min(v) < bounds[0]:
             raise ShapeError(self.misfit)
         return out if shape is None else out.reshape(shape)
+
+    def joined_rows(self, v) -> tuple[np.ndarray, np.ndarray]:
+        """extend's var rows as (per-event counts, flat values). When every
+        row is a list of Python numbers, the rows convert as one joined list:
+        the rule takes each number on its own, so the values are those of
+        converting row by row. Any other rows (arrays, bytes, nested or
+        ragged rows) convert one by one, as fill converts its row."""
+        try:
+            rows = list(v)
+            if set(map(type, rows)) <= {list}:
+                joined = list(chain.from_iterable(rows))
+                if set(map(type, joined)) <= _PY_NUMBERS:
+                    return (np.fromiter(map(len, rows), "u4", len(rows)),
+                            self.values(joined))
+            arrays = [self.values(r) for r in rows]
+        except TypeError:
+            raise ShapeError(
+                f"branch {self.name!r} expects a sequence of rows"
+            ) from None
+        if any(r.ndim != 1 for r in arrays):
+            raise ShapeError(f"branch {self.name!r} expects flat rows")
+        counts = np.fromiter(map(len, arrays), "u4", len(arrays))
+        return counts, (np.concatenate(arrays) if arrays
+                        else np.empty(0, self.native))
 
     def counts(self, values) -> np.ndarray:
         """extend's per-event element counts of a var branch as u4;
@@ -449,17 +474,8 @@ class TreeWriter:
                 if isinstance(v, tuple) and len(v) == 2:
                     flat = br.values(v[0])
                     counts = br.counts(v[1])
-                else:  # rows, each converted as fill converts its row
-                    try:
-                        rows = [br.values(r) for r in v]
-                    except TypeError:
-                        raise ShapeError(
-                            f"branch {br.name!r} expects a sequence of rows"
-                        ) from None
-                    if any(r.ndim != 1 for r in rows):
-                        raise ShapeError(f"branch {br.name!r} expects flat rows")
-                    counts = np.fromiter(map(len, rows), "u4", len(rows))
-                    flat = np.concatenate(rows) if rows else np.empty(0, br.native)
+                else:
+                    counts, flat = br.joined_rows(v)
                 if counts.ndim != 1 or flat.ndim != 1:
                     raise ShapeError(f"branch {br.name!r}: malformed var input")
                 if int(counts.sum()) != len(flat):

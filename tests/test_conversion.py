@@ -271,3 +271,39 @@ def test_rule_at_its_edges(tmp_path, etype, elements):
         check_rule(tmp_path, etype, list(elements), _array_containers(elements))
     else:
         check_rule(tmp_path, etype, elements, _containers(elements))
+
+
+def _python_numbers(etype):
+    """One element as a Python int, float or bool, edges among them."""
+    edges = [e for e in _edges(etype) if type(e) in (int, float, bool)]
+    return st.one_of(st.sampled_from(edges), st.integers(), st.floats(),
+                     st.booleans())
+
+
+@SETTINGS
+@given(data=st.data(), etype=st.sampled_from(ALL_TYPES))
+def test_list_rows_convert_as_row_by_row(tmp_path, data, etype):
+    """extend converts var rows that are all lists of Python numbers as one
+    joined list. Its verdict and bytes are those of converting row by row:
+    tuple rows take that path, and so does fill. Rows of up to 96 values
+    cross F32's packing threshold both ways."""
+    rows = data.draw(st.lists(st.lists(_python_numbers(etype), max_size=12),
+                              max_size=8))
+    rejected = any(oracle(e, etype) is REJECT for row in rows for e in row)
+    ways = [("list-rows", lambda w: w.extend(x=rows)),
+            ("tuple-rows", lambda w: w.extend(x=[tuple(r) for r in rows])),
+            ("fill", lambda w: [w.fill(x=r) for r in rows])]
+    written = []
+    for label, call in ways:
+        path = tmp_path / f"{label}.bkio"
+        with TreeWriter(path, [("x", etype, var_array())]) as w:
+            if rejected:
+                with pytest.raises(ShapeError):
+                    call(w)
+                if label != "fill":  # fill appends the rows before a bad one
+                    assert w.n_entries == 0, label
+            else:
+                call(w)
+        written.append(path.read_bytes())
+    if not rejected:
+        assert written[0] == written[1] == written[2]
