@@ -90,10 +90,12 @@ class _BulkColumn:
     ``values`` holds, so an array handed out stays valid after the next load.
     """
 
-    __slots__ = ("_rd", "_native", "first", "end", "values", "__weakref__")
+    __slots__ = ("_rd", "_stop", "_native", "first", "end", "values",
+                 "__weakref__")
 
-    def __init__(self, rd: BranchReader):
+    def __init__(self, rd: BranchReader, stop: int = 0):
         self._rd = rd
+        self._stop = stop  # the basket index past a walk's last, else 0
         self._native = rd.element_type.np_native
         self.first = self.end = 0
         self.values: list = []
@@ -101,7 +103,7 @@ class _BulkColumn:
     def load(self, entry: int) -> list:
         """Decode the basket holding ``entry``; returns its per-event values."""
         rd = self._rd
-        rd._seek_entry(entry)
+        rd._seek_entry(entry, self._stop)
         native = rd._ck_buf.as_array().astype(self._native)
         counts = rd._ck_counts
         if counts is None:
@@ -195,8 +197,10 @@ class DataSource:
         return rd
 
     def _release(self, readers: Sequence[BranchReader]) -> None:
-        """Drop readers whose work is done, keeping their basket counts."""
+        """Drop readers whose work is done, keeping their basket counts and
+        dropping what they read ahead."""
         for rd in readers:
+            rd._drop_ahead()
             self._live.discard(rd)
             self._released_baskets += _baskets(rd)
 
@@ -230,9 +234,10 @@ class DataSource:
                 yield range(start, stop), {
                     c: rd.get_entry for c, rd in zip(columns, readers)}
                 return
-            cols = [_BulkColumn(rd) for rd in readers]
             firsts = self._firsts
-            edges = firsts[bisect_left(firsts, start):bisect_left(firsts, stop)]
+            lo, hi = bisect_left(firsts, start), bisect_left(firsts, stop)
+            cols = [_BulkColumn(rd, hi) for rd in readers]  # read ahead to hi
+            edges = firsts[lo:hi]
             edges.append(stop)
             for first, end in zip(edges, edges[1:]):
                 yield range(end - first), {
@@ -264,9 +269,9 @@ class DataSource:
                     counts = None
                 disk = rd._dtypes[1]
                 for start, stop in ranges:
-                    for idx in range(bisect_left(firsts, start),
-                                     bisect_left(firsts, stop)):
-                        yield load(idx, buf, counts).view(disk)
+                    hi = bisect_left(firsts, stop)  # read ahead up to hi
+                    for idx in range(bisect_left(firsts, start), hi):
+                        yield load(idx, buf, counts, hi).view(disk)
             finally:
                 self._release([rd])
 

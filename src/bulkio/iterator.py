@@ -7,7 +7,9 @@ stack whose overhead the bulk paths remove.
 
 :class:`FastEventReader` gives each proxy a reader of its own and refills
 that reader's window (its one loaded basket, serialized) one basket at a
-time, decoding at dereference. Proxies are valid only between two
+time, decoding at dereference; while one basket inflates, the next
+compressed one inflates on the reader module's helper thread (see
+:mod:`bulkio.reader`). Proxies are valid only between two
 ``next()`` calls; window reuse across refills is guarded by a generation
 counter. ``next_block()`` plus ``block()`` expose the same data one basket
 at a time as lazily-decoding array views, which is how a vectorizing
@@ -73,6 +75,8 @@ class _EventLoop:
         return rd
 
     def close(self) -> None:
+        for p in self._proxies:  # a walk stopped early read a basket ahead
+            p._rd._drop_ahead()
         if self._owns:
             self._tf.close()
 
@@ -152,11 +156,12 @@ class FastValueProxy:
     basket; BOOL values are then viewed as numpy bools.
     """
 
-    __slots__ = ("_it", "_rd", "_view", "_gen", "refill_count")
+    __slots__ = ("_it", "_rd", "_stop", "_view", "_gen", "refill_count")
 
     def __init__(self, it: "FastEventReader", rd: BranchReader):
         self._it = it
         self._rd = rd
+        self._stop = len(rd.descriptor.baskets)  # refills walk every basket
         self._view = None
         self._gen = -1
         self.refill_count = 0
@@ -168,7 +173,7 @@ class FastValueProxy:
 
     def _refill(self, entry: int, gen: int) -> int:
         rd = self._rd
-        rd._seek_entry(entry)
+        rd._seek_entry(entry, self._stop)
         view = rd._ck_buf.as_array()
         self._view = view.view("?") if rd._etype is ElementType.BOOL else view
         self._gen = gen

@@ -16,12 +16,40 @@ Every read in the library goes through one basket load
 and the two bulk calls. It checks a BOOL basket's bytes once, for every
 caller except ``get_entries_serialized``, which hands raw bytes out. It
 also fills the counts, and raises :class:`FormatError` when a var basket's
-counts do not add up to its payload.
+counts do not add up to its payload. Every stored byte is read by one
+function, ``_read``, which holds the closed-file, truncation and
+short-read checks.
 
 Readers use offset-addressed reads (``os.pread``), so any number of
 BranchReaders may share one open :class:`TreeFile`, including from
 different threads. A single BranchReader is not thread-safe. Closing the
 TreeFile closes its readers: any later read raises :class:`FileClosed`.
+
+Read-ahead. A walk that knows its next basket (the fast iterator's
+refills, ``DataSource.blocks`` and the bulk frame's windows) passes the
+index past its last basket to the load. When that basket and the next
+are compressed, the load hands the next to the process's one helper
+thread, which inflates it (and a var branch's count basket) while the
+caller's thread inflates the current one; the load of that next basket
+then takes the result and reads nothing ahead, so baskets go in pairs.
+``pread`` and zlib release the interpreter lock, which is what lets the
+two inflates overlap. Codec-none baskets, whose read costs less than a
+hand-off, and the calls whose caller picks the next basket (``get_entry``
+and the two bulk calls) never read ahead.
+
+* The helper runs only ``_read`` (a ``pread``) and ``decompress_payload``,
+  given the file's shared descriptor and the basket descriptors: it
+  touches no reader state. A reader holds at most one basket read ahead,
+  and a walk that is abandoned or released drops it.
+* ``baskets_read`` is counted on the caller's thread when a load takes a
+  basket, so it counts what it counted without read-ahead. An error the
+  helper met is raised by the load of its basket, as that load would
+  have raised it.
+* ``TreeFile.close()`` cancels the file's pending read-aheads and waits
+  for any that are running before it closes the descriptor; every later
+  load raises :class:`FileClosed`, a basket read ahead or not.
+* The helper thread starts with the first read-ahead, and a forked child
+  starts its own.
 """
 
 from __future__ import annotations
@@ -29,14 +57,17 @@ from __future__ import annotations
 import enum
 import os
 import struct
+import threading
 import weakref
 from bisect import bisect_right
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from os import PathLike
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import (
+    BulkIOError,
     CountBufferRequired,
     DecompressError,
     EntryOutOfRange,
@@ -197,7 +228,7 @@ class _OpenFile:
         self.fobj = fobj  # keeps the file open as long as any reader lives
         self.fd = fobj.fileno()
         self.payload_end = payload_end  # where the footer begins
-        # every reader, whose window must not outlive close
+        # the readers that loaded a window or read ahead, which close resets
         self.cached: "weakref.WeakSet[BranchReader]" = weakref.WeakSet()
         self._starts: dict[str, list[int]] = {}
 
@@ -214,7 +245,103 @@ class _OpenFile:
         self.fd = -1
         for rd in list(self.cached):
             rd._drop_cache()
+        _helper.drain(self)  # a running read-ahead still reads self.fd
         self.fobj.close()
+
+
+def _read(file: _OpenFile, name: str, bk: BasketDescriptor,
+          mem: Optional[np.ndarray] = None) -> Optional[bytes]:
+    """Read ``bk``'s stored bytes, into ``mem`` when given (a codec-none
+    basket's buffer) or else as new bytes. A closed file raises FileClosed;
+    a basket running into the footer, or a short read, means truncation."""
+    fd = file.fd
+    if fd < 0:
+        raise FileClosed(f"branch {name!r}: its file is closed")
+    size = bk.compressed_size
+    if bk.file_offset + size > file.payload_end:
+        raise DecompressError(
+            f"truncated basket at entry {bk.first_entry} of branch "
+            f"{name!r}: it runs into the footer at byte {file.payload_end}"
+        )
+    if mem is None:
+        raw = os.pread(fd, size, bk.file_offset)
+        got = len(raw)
+    else:
+        raw = None
+        got = os.preadv(fd, [mem], bk.file_offset) if size else 0
+    if got != size:
+        raise DecompressError(
+            f"truncated basket at entry {bk.first_entry} of branch "
+            f"{name!r}: read {got} of {size} bytes"
+        )
+    return raw
+
+
+def _inflate(file: _OpenFile, name: str, bk: BasketDescriptor) -> tuple:
+    """``(read, payload)`` of one basket: ``read`` says its stored bytes were
+    read, and ``payload`` is their inflated bytes, or the BulkIOError that
+    stopped the read or the inflate, for the load to raise."""
+    try:
+        raw = _read(file, name, bk)
+    except BulkIOError as exc:
+        return False, exc
+    try:
+        return True, decompress_payload(raw, bk.codec, bk.uncompressed_size)
+    except BulkIOError as exc:
+        return True, exc
+
+
+def _inflate_all(file: _OpenFile, baskets: list) -> list:
+    """The helper's job: ``_inflate`` each ``(name, basket)`` in turn, up to
+    the first that fails."""
+    out = []
+    for name, bk in baskets:
+        out.append(_inflate(file, name, bk))
+        if isinstance(out[-1][1], BulkIOError):
+            break
+    return out
+
+
+class _Helper:
+    """The process's one read-ahead thread, started by the first job, and
+    its jobs not yet done."""
+
+    def __init__(self):
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="bulkio-read-ahead")
+        self._lock = threading.Lock()  # the helper's done callbacks drop jobs
+        self._jobs: dict[Future, _OpenFile] = {}
+
+    def submit(self, file: _OpenFile, baskets: list) -> Future:
+        fut = self._pool.submit(_inflate_all, file, baskets)
+        with self._lock:
+            self._jobs[fut] = file
+        fut.add_done_callback(self._done)
+        return fut
+
+    def _done(self, fut: Future) -> None:
+        with self._lock:
+            self._jobs.pop(fut, None)
+
+    def drain(self, file: _OpenFile) -> None:
+        """Cancel ``file``'s pending jobs and wait for its running ones."""
+        with self._lock:
+            jobs = [f for f, of in self._jobs.items() if of is file]
+        for fut in jobs:
+            fut.cancel()
+        wait(jobs)
+
+
+_helper = _Helper()
+
+
+def _new_helper() -> None:
+    # a forked child has no helper thread: a pool made before the fork would
+    # queue its jobs forever
+    global _helper
+    _helper = _Helper()
+
+
+os.register_at_fork(after_in_child=_new_helper)
 
 
 class BranchReader:
@@ -227,7 +354,7 @@ class BranchReader:
     __slots__ = ("_file", "_desc", "_etype", "_width", "_k", "_baskets",
                  "_firsts", "_n_entries", "_ck_first", "_ck_end", "_ck_payload",
                  "_ck_buf", "_ck_counts", "_baskets_read", "_unpack_from",
-                 "_uint", "_dtypes", "_bool", "_var", "__weakref__")
+                 "_uint", "_dtypes", "_bool", "_var", "_ahead", "__weakref__")
 
     def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
         self._file = file
@@ -252,7 +379,7 @@ class BranchReader:
         self._dtypes = _VIEW_DTYPES[etype]  # (native, disk)
         self._bool = etype is ElementType.BOOL
         self._var = shape.kind is ShapeKind.VAR_ARRAY
-        file.cached.add(self)
+        self._ahead: Optional[tuple[int, Future]] = None  # (basket, its job)
 
     # --- metadata ---
 
@@ -304,42 +431,51 @@ class BranchReader:
 
     def _drop_cache(self) -> None:
         self._ck_first = self._ck_end = 0  # every entry misses the window
+        self._drop_ahead()
 
-    def _read(self, bk: BasketDescriptor,
-              mem: Optional[np.ndarray] = None) -> Optional[bytes]:
-        """Read ``bk``'s stored bytes, into ``mem`` when given (a codec-none
-        basket's buffer) or else as new bytes, and count the basket read. A
-        closed file raises FileClosed; a basket running into the footer, or
-        a short read, means truncation."""
-        fd = self._file.fd
-        if fd < 0:
-            raise FileClosed(f"branch {self._desc.name!r}: its file is closed")
-        size = bk.compressed_size
-        if bk.file_offset + size > self._file.payload_end:
-            raise DecompressError(
-                f"truncated basket at entry {bk.first_entry} of branch "
-                f"{self._desc.name!r}: it runs into the footer at byte "
-                f"{self._file.payload_end}"
-            )
-        if mem is None:
-            raw = os.pread(fd, size, bk.file_offset)
-            got = len(raw)
-        else:
-            raw = None
-            got = os.preadv(fd, [mem], bk.file_offset) if size else 0
-        if got != size:
-            raise DecompressError(
-                f"truncated basket at entry {bk.first_entry} of branch "
-                f"{self._desc.name!r}: read {got} of {size} bytes"
-            )
-        self._baskets_read += 1
-        return raw
+    def _drop_ahead(self) -> None:
+        """Drop the basket read ahead, if any: a walk stopped before it."""
+        if self._ahead is not None:
+            self._ahead[1].cancel()
+            self._ahead = None
+
+    def _take(self, fetched: tuple) -> bytes:
+        """A basket's inflated payload from its ``_inflate`` outcome, counted
+        as read once its bytes were; raises the error that stopped it."""
+        read, payload = fetched
+        if read:
+            self._baskets_read += 1
+        if isinstance(payload, BulkIOError):
+            raise payload
+        return payload
 
     def _fetch(self, bk: BasketDescriptor) -> bytes:
-        return decompress_payload(self._read(bk), bk.codec, bk.uncompressed_size)
+        return self._take(_inflate(self._file, self._desc.name, bk))
+
+    def _claim(self, idx: int) -> Optional[list]:
+        """The helper's outcomes for basket ``idx`` if it was read ahead;
+        a read-ahead of any other basket is dropped."""
+        ahead_idx, job = self._ahead
+        self._ahead = None
+        if ahead_idx == idx:
+            return job.result()
+        job.cancel()
+        return None
+
+    def _start_ahead(self, idx: int) -> None:
+        """Hand basket ``idx`` (and its count basket) to the helper."""
+        file = self._file
+        if file.fd < 0:
+            return  # the caller's own load raises FileClosed
+        baskets = [(self._desc.name, self._baskets[idx])]
+        if self._var:
+            cr = self.count_reader
+            baskets.append((cr._desc.name, cr._baskets[idx]))
+        file.cached.add(self)  # close must drop it
+        self._ahead = (idx, _helper.submit(file, baskets))
 
     def _load(self, idx: int, buf: BulkBuffer, counts: Optional[CountBuffer] = None,
-              state: BufferState = BufferState.SERIALIZED,
+              stop: int = 0, state: BufferState = BufferState.SERIALIZED,
               check_bool: bool = True) -> np.ndarray:
         """Fill ``buf`` with basket ``idx``: the one basket load of every read.
 
@@ -349,6 +485,10 @@ class BranchReader:
         events: computed for scalars and fixed arrays, read from the count
         basket for var arrays, where counts that do not add up to the
         payload raise FormatError. A failed load leaves ``buf`` unfilled.
+
+        A walk whose next loads are baskets ``idx + 1`` up to ``stop - 1``
+        passes ``stop``: unless this basket was read ahead, the next one is
+        then read ahead when both are compressed.
         """
         bk = self._baskets[idx]
         nbytes = bk.uncompressed_size
@@ -356,11 +496,19 @@ class BranchReader:
         try:
             # a compressed basket is inflated before the buffer is sized, so a
             # recorded size its stream does not reach allocates nothing
-            payload = None if bk.codec is _CODEC_NONE else self._fetch(bk)
+            if bk.codec is _CODEC_NONE:
+                got = payload = None
+            else:
+                got = None if self._ahead is None else self._claim(idx)
+                if (got is None and idx + 1 < stop
+                        and self._baskets[idx + 1].codec is not _CODEC_NONE):
+                    self._start_ahead(idx + 1)
+                payload = self._fetch(bk) if got is None else self._take(got[0])
             mem = buf._prepare(nbytes, self._etype, state, bk.n_entries,
                                nbytes // self._width)
             if payload is None:
-                self._read(bk, mem)
+                _read(self._file, self._desc.name, bk, mem)
+                self._baskets_read += 1
                 if swap:  # numpy swaps two views of one memory without a copy
                     np.copyto(mem.view(self._uint[0]), mem.view(self._uint[1]))
             elif swap:
@@ -375,7 +523,9 @@ class BranchReader:
                 return mem
             if self._var:
                 cr = self.count_reader
-                counts._set(np.frombuffer(cr._fetch(cr._baskets[idx]), dtype=">u4"))
+                raw = (cr._fetch(cr._baskets[idx]) if got is None
+                       else cr._take(got[1]))
+                counts._set(np.frombuffer(raw, dtype=">u4"))
                 total = counts.total()
             else:  # n copies of k, without summing them
                 counts._set(np.full(bk.n_entries, self._k, dtype="u4"))
@@ -419,9 +569,12 @@ class BranchReader:
 
     # --- per-entry read ---
 
-    def _seek_entry(self, entry: int) -> None:
+    def _seek_entry(self, entry: int, stop: int = 0) -> None:
         """Load the basket holding ``entry`` as the window: serialized, BOOL
-        bytes checked, counts filled for array branches."""
+        bytes checked, counts filled for array branches. ``stop`` goes to
+        the load: the basket index past a walk's last, or 0 outside one."""
+        if not self._ck_end:  # a first window, or one after a failed load
+            self._file.cached.add(self)  # close must reset it
         self._ck_first = self._ck_end = 0  # a failed load leaves no window
         idx = self._basket_index(entry)
         bk = self._baskets[idx]
@@ -429,7 +582,7 @@ class BranchReader:
         if (counts is not None and counts.event_count == bk.n_entries
                 and not self._var):
             counts = None  # they are already n copies of the fixed length
-        self._load(idx, self._ck_buf, counts)
+        self._load(idx, self._ck_buf, counts, stop)
         self._ck_first = first = bk.first_entry
         self._ck_end = first + bk.n_entries
 

@@ -20,6 +20,7 @@ from bulkio import (
     scalar,
     var_array,
 )
+from bulkio import reader
 from bulkio.format import footer_from_bytes, footer_to_bytes
 
 ALL_TYPES = list(ElementType)
@@ -132,6 +133,18 @@ def deflate_bomb(tmp_path, recorded: int = 32 * 1024):
         w.fill(v=np.zeros(1 << 22, dtype="f4"))
     return rewrite_basket(src, tmp_path / "bomb.bkio", 0, 0,
                           uncompressed_size=recorded)
+
+
+@pytest.fixture(autouse=True)
+def no_read_ahead_outlives_its_file():
+    """Fail a test that leaves a read-ahead pending on a closed file:
+    closing a file must cancel its read-aheads or wait for them."""
+    yield
+    helper = reader._helper
+    with helper._lock:
+        jobs = list(helper._jobs.items())
+    left = [job for job, file in jobs if file.fd < 0 and not job.done()]
+    assert not left, f"{len(left)} read-ahead(s) pending on a closed file"
 
 
 @pytest.fixture

@@ -334,6 +334,24 @@ def test_cli_verify_corrupt_exit_1(tmp_path):
     assert "FAIL" in r.output
 
 
+def test_cli_run_corrupt_deflate_exit_1(tmp_path):
+    """A deflate stream that does not inflate stops ``run`` with one
+    ``error:`` line and exit 1, in every scenario, whichever reads ahead."""
+    path = tmp_path / "r.bkio"
+    bench.generate(500, basket_capacity=64, codec=Codec.DEFLATE, out=path)
+    data = bytearray(path.read_bytes())
+    data[read_footer(path).branches[0].baskets[2].file_offset] = 0xFF  # BTYPE 11
+    bad = tmp_path / "r_bad.bkio"
+    bad.write_bytes(bytes(data))
+    for sid in ALL_SCENARIOS:
+        r = CliRunner().invoke(cli_main, ["run", "--file", str(bad),
+                                          "--scenario", sid, "--repeat", "1"])
+        assert r.exit_code == 1, (sid, r.output)
+        errors = [line for line in r.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, (sid, r.output)
+        assert errors[0].startswith("error: deflate stream error:"), errors
+
+
 def test_cli_verify_huge_basket_size_exit_1(tmp_path):
     path = tmp_path / "h.bkio"
     bench.generate(500, basket_capacity=64, codec=Codec.DEFLATE, out=path)

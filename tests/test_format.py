@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -203,6 +204,62 @@ def test_footer_rejects_none_codec_size_mismatch():
     footer.branches[0].baskets[0] = BasketDescriptor(0, 3, 52, 5, 6, Codec.NONE)
     with pytest.raises(FormatError):
         footer_from_bytes(footer_to_bytes(footer))
+
+
+def _edit(data: bytes, old: bytes, new: bytes) -> bytes:
+    assert data.count(old) == 1
+    return data.replace(old, new)
+
+
+def _u64(v: int) -> bytes:
+    return struct.pack(">Q", v)
+
+
+def _footer_bytes(**changes) -> bytes:
+    """The demo footer's bytes, with ``changes`` applied to it first:
+    ``x_baskets``, ``x_shape`` or ``count_baskets``."""
+    footer = _demo_footer()
+    x, _, count = footer.branches
+    x.baskets = changes.get("x_baskets", x.baskets)
+    x.shape = changes.get("x_shape", x.shape)
+    count.baskets = changes.get("count_baskets", count.baskets)
+    return footer_to_bytes(footer)
+
+
+# x, the demo's I16 scalar: its name's bytes then its element type code
+_X_HEAD = b"\x00\x01x" + _u64(int(ElementType.I16))
+
+
+@pytest.mark.parametrize("data,message", [
+    pytest.param(_footer_bytes()[:-1], "truncated footer", id="truncated"),
+    pytest.param(_edit(_footer_bytes(), b"events", b"\xffvents"),
+                 "footer string is not valid UTF-8", id="string-not-utf8"),
+    pytest.param(_edit(_footer_bytes(), _X_HEAD, _X_HEAD[:3] + _u64(99)),
+                 "unknown element type code in branch 'x'", id="element-code"),
+    pytest.param(_edit(_footer_bytes(), _X_HEAD + _u64(int(ShapeKind.SCALAR)),
+                       _X_HEAD + _u64(9)),
+                 "unknown shape kind 9", id="shape-kind-code"),
+    pytest.param(_edit(_footer_bytes(), _u64(52) + _u64(6) * 2 + _u64(0),
+                       _u64(52) + _u64(6) * 2 + _u64(7)),
+                 "unknown codec code 7", id="codec-code"),
+    pytest.param(_footer_bytes() + b"\x00", "trailing bytes after footer",
+                 id="trailing-bytes"),
+    pytest.param(_footer_bytes(x_baskets=[BasketDescriptor(0, 0, 52, 0, 0, Codec.NONE),
+                                          BasketDescriptor(0, 5, 52, 10, 10, Codec.NONE)]),
+                 "branch 'x': empty basket", id="empty-basket"),
+    pytest.param(_footer_bytes(x_baskets=[BasketDescriptor(0, 3, 52, 8, 8, Codec.NONE),
+                                          BasketDescriptor(3, 2, 60, 4, 4, Codec.NONE)]),
+                 "branch 'x': basket size inconsistent with shape", id="scalar-size"),
+    pytest.param(_footer_bytes(x_shape=BranchShape(ShapeKind.FIXED_ARRAY, fixed_len=2)),
+                 "branch 'x': basket size inconsistent with shape", id="fixed-size"),
+    pytest.param(_footer_bytes(count_baskets=[BasketDescriptor(0, 2, 8, 8, 8, Codec.NONE),
+                                              BasketDescriptor(2, 3, 16, 12, 12, Codec.NONE)]),
+                 "branch 'v': count branch basket boundaries differ",
+                 id="count-boundaries"),
+])
+def test_footer_rejects_malformed_bytes(data, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        footer_from_bytes(data)
 
 
 # --- whole-file footer access ---

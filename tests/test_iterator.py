@@ -63,13 +63,34 @@ def test_attach_after_start_rejected(ramp_file):
 
 
 def test_attach_array_var_lengths(var_file):
-    with EventReader(var_file) as ev:
-        v = ev.attach_array("v", ElementType.F32)
-        lengths = []
-        while ev.next():
-            lengths.append(len(v))
-        assert lengths[:3] == [2, 0, 3]
-        assert len(set(lengths)) > 1  # per-event length varies
+    for cls in (EventReader, FastEventReader):
+        with cls(var_file) as ev:
+            v = ev.attach_array("v", ElementType.F32)
+            with pytest.raises(InvalidProxyState):
+                len(v)  # before the first next()
+            lengths = []
+            while ev.next():
+                lengths.append(len(v))
+            assert lengths[:3] == [2, 0, 3]
+            assert len(set(lengths)) > 1  # per-event length varies
+            with pytest.raises(InvalidProxyState):
+                len(v)  # past the last entry
+
+
+def test_attach_array_fixed_length(tmp_path):
+    """A fixed array's proxy has its length on every entry, and off them."""
+    path = tmp_path / "fixed.bkio"
+    write_events(path, ElementType.I16, fixed_array(3),
+                 [np.arange(3, dtype="i2")] * 10, capacity=4)
+    for cls in (EventReader, FastEventReader):
+        with cls(path) as ev:
+            a = ev.attach_array("x", ElementType.I16)
+            assert len(a) == 3
+            n = 0
+            while ev.next():
+                assert len(a) == 3
+                n += 1
+            assert n == 10 and len(a) == 3
 
 
 # --- next ---
