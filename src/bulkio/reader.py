@@ -47,20 +47,24 @@ and the two bulk calls) never read ahead.
   have raised it.
 * ``TreeFile.close()`` cancels the file's pending read-aheads and waits
   for any that are running before it closes the descriptor; every later
-  load raises :class:`FileClosed`, a basket read ahead or not.
-* The helper thread starts with the first read-ahead, and a forked child
-  starts its own.
+  load raises :class:`FileClosed`, a basket read ahead or not, and so
+  does a load that was waiting for its read-ahead when the file closed.
+* The helper is a daemon thread on a queue of its own, started by the
+  first read-ahead, so walks read ahead also while the interpreter shuts
+  down; where no thread can start, they load every basket themselves. A
+  forked child starts its own helper, and a read-ahead from before the
+  fork is loaded again by the child.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+import queue
 import struct
 import threading
 import weakref
 from bisect import bisect_right
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from os import PathLike
 from typing import Optional, Union
 
@@ -228,7 +232,7 @@ class _OpenFile:
         self.fobj = fobj  # keeps the file open as long as any reader lives
         self.fd = fobj.fileno()
         self.payload_end = payload_end  # where the footer begins
-        # the readers that loaded a window or read ahead, which close resets
+        # every reader, whose window and read-ahead must not outlive close
         self.cached: "weakref.WeakSet[BranchReader]" = weakref.WeakSet()
         self._starts: dict[str, list[int]] = {}
 
@@ -302,41 +306,93 @@ def _inflate_all(file: _OpenFile, baskets: list) -> list:
     return out
 
 
+class _Job:
+    """One read-ahead: the ``(name, basket)`` pairs to inflate, the helper
+    that runs it, and, once ``finished`` is set, their outcomes in ``out``:
+    None when the job was cancelled or met an error outside BulkIOError, and
+    the load then reads its basket itself."""
+
+    __slots__ = ("file", "baskets", "helper", "out", "finished")
+
+    def __init__(self, file: _OpenFile, baskets: list, helper: "_Helper"):
+        self.file = file
+        self.baskets = baskets
+        self.helper = helper
+        self.out: Optional[list] = None
+        self.finished = threading.Event()
+
+
 class _Helper:
-    """The process's one read-ahead thread, started by the first job, and
-    its jobs not yet done."""
+    """The process's one read-ahead thread and its jobs not yet done.
+
+    The thread is a daemon, started by the first job and fed by a queue of
+    its own, so it takes jobs for as long as the interpreter runs threads:
+    also from a thread still running after the main one returned, and from
+    an atexit handler, where ``concurrent.futures`` refuses new work.
+    """
 
     def __init__(self):
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="bulkio-read-ahead")
-        self._lock = threading.Lock()  # the helper's done callbacks drop jobs
-        self._jobs: dict[Future, _OpenFile] = {}
+        self._lock = threading.Lock()
+        self._queue: "queue.SimpleQueue[_Job]" = queue.SimpleQueue()
+        self._jobs: dict[_Job, bool] = {}  # each job not done: is it running
+        self._started = False
 
-    def submit(self, file: _OpenFile, baskets: list) -> Future:
-        fut = self._pool.submit(_inflate_all, file, baskets)
+    def submit(self, file: _OpenFile, baskets: list) -> Optional[_Job]:
+        """Queue a job; None when no thread can start (the interpreter is
+        shutting down), and the walk then loads every basket itself."""
+        job = _Job(file, baskets, self)
         with self._lock:
-            self._jobs[fut] = file
-        fut.add_done_callback(self._done)
-        return fut
+            if not self._started:
+                try:
+                    threading.Thread(target=self._run, daemon=True,
+                                     name="bulkio-read-ahead").start()
+                except RuntimeError:
+                    return None
+                self._started = True
+            self._jobs[job] = False
+        self._queue.put(job)
+        return job
 
-    def _done(self, fut: Future) -> None:
+    def _run(self) -> None:
+        while True:
+            job = self._queue.get()
+            with self._lock:
+                if job not in self._jobs:
+                    continue  # cancelled while it waited
+                self._jobs[job] = True
+            try:
+                job.out = _inflate_all(job.file, job.baskets)
+            except Exception:
+                pass  # the load meets the same error reading the basket itself
+            finally:
+                with self._lock:
+                    del self._jobs[job]
+                job.finished.set()
+
+    def cancel(self, job: _Job) -> None:
+        """Drop ``job`` unless it runs or is done. A job from before a fork
+        is not this helper's, and is left alone."""
         with self._lock:
-            self._jobs.pop(fut, None)
+            if self._jobs.get(job) is not False:
+                return
+            del self._jobs[job]
+        job.finished.set()
 
     def drain(self, file: _OpenFile) -> None:
         """Cancel ``file``'s pending jobs and wait for its running ones."""
         with self._lock:
-            jobs = [f for f, of in self._jobs.items() if of is file]
-        for fut in jobs:
-            fut.cancel()
-        wait(jobs)
+            jobs = [job for job in self._jobs if job.file is file]
+        for job in jobs:
+            self.cancel(job)
+            job.finished.wait()
 
 
 _helper = _Helper()
 
 
 def _new_helper() -> None:
-    # a forked child has no helper thread: a pool made before the fork would
-    # queue its jobs forever
+    # a forked child has no helper thread, and its readers' jobs from before
+    # the fork are the old helper's, which no thread will finish
     global _helper
     _helper = _Helper()
 
@@ -379,7 +435,8 @@ class BranchReader:
         self._dtypes = _VIEW_DTYPES[etype]  # (native, disk)
         self._bool = etype is ElementType.BOOL
         self._var = shape.kind is ShapeKind.VAR_ARRAY
-        self._ahead: Optional[tuple[int, Future]] = None  # (basket, its job)
+        self._ahead: Optional[tuple[int, _Job]] = None  # (basket, its job)
+        file.cached.add(self)
 
     # --- metadata ---
 
@@ -435,9 +492,10 @@ class BranchReader:
 
     def _drop_ahead(self) -> None:
         """Drop the basket read ahead, if any: a walk stopped before it."""
-        if self._ahead is not None:
-            self._ahead[1].cancel()
+        ahead = self._ahead  # read once: another thread may close the file
+        if ahead is not None:
             self._ahead = None
+            _helper.cancel(ahead[1])
 
     def _take(self, fetched: tuple) -> bytes:
         """A basket's inflated payload from its ``_inflate`` outcome, counted
@@ -453,14 +511,20 @@ class BranchReader:
         return self._take(_inflate(self._file, self._desc.name, bk))
 
     def _claim(self, idx: int) -> Optional[list]:
-        """The helper's outcomes for basket ``idx`` if it was read ahead;
-        a read-ahead of any other basket is dropped."""
-        ahead_idx, job = self._ahead
+        """The helper's outcomes for basket ``idx`` if it was read ahead,
+        else None and the load reads it itself: a read-ahead of any other
+        basket is dropped, and so is one that was cancelled, comes from
+        before a fork or finished after its file closed."""
+        ahead = self._ahead  # read once: another thread may close the file
         self._ahead = None
-        if ahead_idx == idx:
-            return job.result()
-        job.cancel()
-        return None
+        if ahead is None:
+            return None
+        ahead_idx, job = ahead
+        if ahead_idx != idx or job.helper is not _helper:
+            _helper.cancel(job)
+            return None
+        job.finished.wait()
+        return job.out if self._file.fd >= 0 else None
 
     def _start_ahead(self, idx: int) -> None:
         """Hand basket ``idx`` (and its count basket) to the helper."""
@@ -471,8 +535,9 @@ class BranchReader:
         if self._var:
             cr = self.count_reader
             baskets.append((cr._desc.name, cr._baskets[idx]))
-        file.cached.add(self)  # close must drop it
-        self._ahead = (idx, _helper.submit(file, baskets))
+        job = _helper.submit(file, baskets)
+        if job is not None:
+            self._ahead = (idx, job)
 
     def _load(self, idx: int, buf: BulkBuffer, counts: Optional[CountBuffer] = None,
               stop: int = 0, state: BufferState = BufferState.SERIALIZED,
@@ -573,8 +638,6 @@ class BranchReader:
         """Load the basket holding ``entry`` as the window: serialized, BOOL
         bytes checked, counts filled for array branches. ``stop`` goes to
         the load: the basket index past a walk's last, or 0 outside one."""
-        if not self._ck_end:  # a first window, or one after a failed load
-            self._file.cached.add(self)  # close must reset it
         self._ck_first = self._ck_end = 0  # a failed load leaves no window
         idx = self._basket_index(entry)
         bk = self._baskets[idx]

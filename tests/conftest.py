@@ -142,8 +142,7 @@ def no_read_ahead_outlives_its_file():
     yield
     helper = reader._helper
     with helper._lock:
-        jobs = list(helper._jobs.items())
-    left = [job for job, file in jobs if file.fd < 0 and not job.done()]
+        left = [job for job in helper._jobs if job.file.fd < 0]
     assert not left, f"{len(left)} read-ahead(s) pending on a closed file"
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -70,6 +71,24 @@ def jobs(monkeypatch):
     return started
 
 
+def _hold(monkeypatch) -> tuple[threading.Event, threading.Event]:
+    """Hold the helper thread after each basket it inflates from now on:
+    ``running`` is set once it is held, and it goes on once ``release`` is
+    set, which the caller must do."""
+    running, release = threading.Event(), threading.Event()
+    real = reader._inflate
+
+    def inflate(file, name, bk):
+        out = real(file, name, bk)
+        if threading.current_thread().name == "bulkio-read-ahead":
+            running.set()
+            release.wait(10)
+        return out
+
+    monkeypatch.setattr(reader, "_inflate", inflate)
+    return running, release
+
+
 def _corrupt(path, branch: str, basket: int):
     """The first byte of a deflate basket set to 0xFF: a block of the
     reserved type, which zlib refuses."""
@@ -127,7 +146,7 @@ def test_close_mid_walk_raises_file_closed(deflate_file, jobs):
         v = events.attach_array("v", ElementType.F32)
         assert events.next_block() == CAPACITY
         assert v._rd._ahead is not None
-        jobs[0].result()  # basket 1 is inflated before the close
+        jobs[0].finished.wait()  # basket 1 is inflated before the close
     assert v._rd._ahead is None
     with pytest.raises(FileClosed):
         events.next_block()
@@ -145,24 +164,14 @@ def test_close_mid_walk_raises_file_closed(deflate_file, jobs):
 
         with pytest.raises(FileClosed):
             Frame(src).filter(close_then_pass, ["x"]).sum("x")
-    assert all(job.done() for job in jobs)
+    assert all(job.finished.is_set() for job in jobs)
 
 
 def test_close_cancels_pending_and_waits_for_running_read_aheads(
         deflate_file, jobs, monkeypatch):
     """The helper is held inside the first job, so the second waits in its
     queue: close cancels the second and returns after the first ends."""
-    main = threading.current_thread()
-    running, release = threading.Event(), threading.Event()
-    real = reader._inflate
-
-    def held(file, name, bk):
-        if threading.current_thread() is not main:
-            running.set()
-            release.wait(10)
-        return real(file, name, bk)
-
-    monkeypatch.setattr(reader, "_inflate", held)
+    running, release = _hold(monkeypatch)
     tf = TreeFile(deflate_file)
     events = FastEventReader(tf)
     events.attach_value("x", ElementType.F32)
@@ -173,14 +182,54 @@ def test_close_cancels_pending_and_waits_for_running_read_aheads(
     timer.start()
     try:
         tf.close()
-        assert jobs[0].done() and not jobs[0].cancelled()
-        assert jobs[1].cancelled()
+        assert jobs[0].finished.is_set() and jobs[0].out is not None
+        assert jobs[1].finished.is_set() and jobs[1].out is None  # cancelled
     finally:
         release.set()
         timer.join(10)
     assert not timer.is_alive()
     with pytest.raises(FileClosed):
         events.next_block()
+
+
+@pytest.mark.parametrize("column", ["x", "v"])
+def test_close_on_another_thread_during_a_load_raises_file_closed(
+        deflate_file, jobs, monkeypatch, column):
+    """A walk waits in its load for the held helper's read-ahead of its next
+    basket while another thread closes the file, which waits for that
+    read-ahead too: the load raises FileClosed, though its basket was
+    inflated."""
+    running, release = _hold(monkeypatch)
+    tf = TreeFile(deflate_file)
+    events = FastEventReader(tf)
+    if column == "x":
+        events.attach_value("x", ElementType.F32)
+    else:
+        events.attach_array("v", ElementType.F32)
+    events.next_block()
+    assert len(jobs) == 1 and running.wait(10)
+    errors = []
+
+    def walk():
+        try:
+            events.next_block()
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    walker = threading.Thread(target=walk)
+    closer = threading.Thread(target=tf.close)
+    try:
+        walker.start()
+        time.sleep(0.05)  # the walker waits for the read-ahead
+        closer.start()
+        time.sleep(0.05)  # close waits for it too
+    finally:
+        release.set()
+        walker.join(10)
+        closer.join(10)
+    assert not walker.is_alive() and not closer.is_alive()
+    assert [type(exc) for exc in errors] == [FileClosed]
+    assert not isinstance(jobs[0].out[0][1], Exception)  # inflated it
 
 
 def test_a_released_walk_drops_its_read_ahead(deflate_file, jobs):
@@ -281,7 +330,65 @@ def test_walks_on_many_threads_share_the_helper(deflate_file):
     assert results == [expected] * 20
 
 
+# --- interpreter shutdown ---
+
+_WALK_AT_SHUTDOWN = """
+import atexit, sys, threading
+import numpy as np
+from bulkio import ElementType, FastEventReader, SourceMode, direct_sum, make_source
+
+def walk(when):
+    with FastEventReader(sys.argv[1]) as events:
+        v = events.attach_array("v", ElementType.F32)
+        total = 0.0
+        while events.next_block():
+            total += float(np.sum(v.block(), dtype=np.float64))
+    with make_source(sys.argv[1], mode=SourceMode.BULK) as src:
+        print(when, repr(total), repr(direct_sum(src, "v")), flush=True)
+
+def after_main():
+    threading.main_thread().join()  # returns once the interpreter shuts down
+    walk("thread")
+
+atexit.register(walk, "atexit")
+threading.Thread(target=after_main).start()
+"""
+
+
+def test_walks_read_ahead_while_the_interpreter_shuts_down(deflate_file):
+    """A thread still walking after the main one returned, then an atexit
+    handler, each finish a fast-reader pass and a ``direct_sum``."""
+    src = os.path.dirname(os.path.dirname(reader.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _WALK_AT_SHUTDOWN, str(deflate_file)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0 and not run.stderr, run.stderr
+    with FastEventReader(deflate_file) as events:
+        v = events.attach_array("v", ElementType.F32)
+        total = 0.0
+        while events.next_block():
+            total += float(np.sum(v.block(), dtype=np.float64))
+    with make_source(deflate_file, mode=SourceMode.BULK) as source:
+        expected = f"{total!r} {direct_sum(source, 'v')!r}"
+    assert run.stdout.splitlines() == [f"thread {expected}", f"atexit {expected}"]
+
+
 # --- fork ---
+
+def _reap(pid: int) -> int:
+    """The exit code of child ``pid``, killed if it runs 60 s."""
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on its read-ahead")
+        time.sleep(0.01)
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_completes_a_fast_reader_pass(deflate_file, jobs):
@@ -296,14 +403,36 @@ def test_forked_child_completes_a_fast_reader_pass(deflate_file, jobs):
             code = 0 if _walks(deflate_file)["fast"] == expected else 3
         finally:
             os._exit(code)
-    deadline = time.monotonic() + 60
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung on its read-ahead")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(status) == 0
+    assert _reap(pid) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_finishes_a_walk_begun_before_the_fork(
+        deflate_file, jobs, monkeypatch):
+    """The fork comes between two ``next_block`` calls, with the read-ahead
+    of x running on the held helper and that of v waiting in its queue:
+    the child loads both baskets itself and finishes the pass."""
+    expected = _walks(deflate_file)["fast"][0]
+    jobs.clear()
+    running, release = _hold(monkeypatch)
+    with FastEventReader(deflate_file) as events:
+        x = events.attach_value("x", ElementType.F32)
+        v = events.attach_array("v", ElementType.F32)
+        total = []
+        events.next_block()
+        assert len(jobs) == 2 and running.wait(10)
+        pid = os.fork()
+        if pid == 0:  # the child: never return into pytest
+            code = 1
+            try:
+                monkeypatch.undo()  # the child's helper is not held
+                while True:
+                    total.append(float(np.sum(x.block(), dtype=np.float64)))
+                    total.append(float(np.sum(v.block(), dtype=np.float64)))
+                    if not events.next_block():
+                        break
+                code = 0 if total == expected else 3
+            finally:
+                os._exit(code)
+        release.set()
+        assert _reap(pid) == 0
