@@ -414,50 +414,52 @@ def _verify_branch(tf: TreeFile, name: str, report_: VerifyReport) -> None:
     try:
         for bk in desc.baskets:
             first = bk.first_entry
-            got = rd.get_bulk_entries(first, buf)
-            rd.get_entries_serialized(first, sbuf, cbuf)
-            if got != bk.n_entries:
-                report_.failures.append(
-                    f"branch {name!r}: bulk read at {first} returned {got}"
-                )
-                continue
-            raw = _os.pread(fd, bk.compressed_size, bk.file_offset)
-            payload = decompress_payload(raw, bk.codec, bk.uncompressed_size)
-            if sbuf.to_bytes() != payload:
-                report_.failures.append(
-                    f"branch {name!r}: serialized buffer differs from on-disk "
-                    f"payload at entry {first}"
-                )
-            if exhaustive:
-                locals_ = range(got)
-            else:
-                pos = np.searchsorted(wanted, [first, first + got])
-                locals_ = (wanted[pos[0]:pos[1]] - first).tolist()
-            offsets = cbuf.offsets()
-            des = buf.as_array()
-            ser = sbuf.as_array()
-            for local in locals_:
-                entry = first + local
-                expect = ref.get_entry(entry)
-                if kind is ShapeKind.SCALAR:
-                    ok = (buf.value_at(etype, local) == expect
-                          and sbuf.value_at(etype, local) == expect)
-                else:
-                    lo, hi = int(offsets[local]), int(offsets[local + 1])
-                    ok = (np.array_equal(des[lo:hi], expect)
-                          and np.array_equal(ser[lo:hi].astype(etype.np_native),
-                                             expect))
-                if not ok:
+            try:  # a basket that fails is reported, and the next one checked
+                got = rd.get_bulk_entries(first, buf)
+                rd.get_entries_serialized(first, sbuf, cbuf)
+                if got != bk.n_entries:
                     report_.failures.append(
-                        f"branch {name!r}: entry {entry} mismatch across read paths"
+                        f"branch {name!r}: bulk read at {first} returned {got}"
                     )
-                checked += 1
-            if kind is not ShapeKind.SCALAR and cbuf.total() * width != sbuf.nbytes:
-                report_.failures.append(
-                    f"branch {name!r}: count sum inconsistent at entry {first}"
-                )
-    except BulkIOError as exc:
-        report_.failures.append(f"branch {name!r}: {type(exc).__name__}: {exc}")
+                    continue
+                raw = _os.pread(fd, bk.compressed_size, bk.file_offset)
+                payload = decompress_payload(raw, bk.codec, bk.uncompressed_size)
+                if sbuf.to_bytes() != payload:
+                    report_.failures.append(
+                        f"branch {name!r}: serialized buffer differs from on-disk "
+                        f"payload at entry {first}"
+                    )
+                if exhaustive:
+                    locals_ = range(got)
+                else:
+                    pos = np.searchsorted(wanted, [first, first + got])
+                    locals_ = (wanted[pos[0]:pos[1]] - first).tolist()
+                offsets = cbuf.offsets()
+                des = buf.as_array()
+                ser = sbuf.as_array()
+                for local in locals_:
+                    entry = first + local
+                    expect = ref.get_entry(entry)
+                    if kind is ShapeKind.SCALAR:
+                        ok = (buf.value_at(etype, local) == expect
+                              and sbuf.value_at(etype, local) == expect)
+                    else:
+                        lo, hi = int(offsets[local]), int(offsets[local + 1])
+                        ok = (np.array_equal(des[lo:hi], expect)
+                              and np.array_equal(ser[lo:hi].astype(etype.np_native),
+                                                 expect))
+                    if not ok:
+                        report_.failures.append(
+                            f"branch {name!r}: entry {entry} mismatch across read paths"
+                        )
+                    checked += 1
+                if kind is not ShapeKind.SCALAR and cbuf.total() * width != sbuf.nbytes:
+                    report_.failures.append(
+                        f"branch {name!r}: count sum inconsistent at entry {first}"
+                    )
+            except BulkIOError as exc:
+                report_.failures.append(f"branch {name!r}: basket at entry {first}: "
+                                        f"{type(exc).__name__}: {exc}")
     finally:
         _os.close(fd)
     report_.checks.append(

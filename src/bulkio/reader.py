@@ -26,17 +26,22 @@ different threads. A single BranchReader is not thread-safe. Closing the
 TreeFile closes its readers: any later read raises :class:`FileClosed`.
 
 Read-ahead. A walk that knows its next basket (the fast iterator's
-refills, ``DataSource.blocks`` and the bulk frame's windows) passes the
-index past its last basket to the load. When that basket and the next
-are compressed, the load hands the next to the process's one helper
-thread, which inflates it (and a var branch's count basket) while the
-caller's thread inflates the current one; the load of that next basket
-then takes the result and reads nothing ahead, so baskets go in pairs.
-``pread`` and zlib release the interpreter lock, which is what lets the
-two inflates overlap. Codec-none baskets, whose read costs less than a
-hand-off, and the calls whose caller picks the next basket (``get_entry``
-and the two bulk calls) never read ahead.
+refills, ``DataSource.blocks``, the bulk frame's windows, and the two bulk
+calls in a forward walk) passes the index past its last basket to the
+load. When that basket and the next are compressed, the load hands the
+next to the process's one helper thread, which inflates it (and a var
+branch's count basket, when the load fills counts) while the caller's
+thread inflates the current one; the load of that next basket then takes
+the result and reads nothing ahead, so baskets go in pairs. ``pread`` and
+zlib release the interpreter lock, which is what lets the two inflates
+overlap. Codec-none baskets, whose read costs less than a hand-off, and
+``get_entry``, whose caller picks any entry, never read ahead.
 
+* The two bulk calls of one reader share a forward walk: calls for
+  basket 0, 1, 2, ... in turn, which may begin again at 0 after the last
+  basket. The first call for any other basket is a jump, and from then on
+  that reader's bulk calls read nothing ahead. A call refused before its
+  load leaves the walk as it was; one whose load fails is a step of it.
 * The helper runs only ``_read`` (a ``pread``) and ``decompress_payload``,
   given the file's shared descriptor and the basket descriptors: it
   touches no reader state. A reader holds at most one basket read ahead,
@@ -410,7 +415,8 @@ class BranchReader:
     __slots__ = ("_file", "_desc", "_etype", "_width", "_k", "_baskets",
                  "_firsts", "_n_entries", "_ck_first", "_ck_end", "_ck_payload",
                  "_ck_buf", "_ck_counts", "_baskets_read", "_unpack_from",
-                 "_uint", "_dtypes", "_bool", "_var", "_ahead", "__weakref__")
+                 "_uint", "_dtypes", "_bool", "_var", "_ahead", "_walk",
+                 "__weakref__")
 
     def __init__(self, file: _OpenFile, descriptor: BranchDescriptor):
         self._file = file
@@ -436,6 +442,8 @@ class BranchReader:
         self._bool = etype is ElementType.BOOL
         self._var = shape.kind is ShapeKind.VAR_ARRAY
         self._ahead: Optional[tuple[int, _Job]] = None  # (basket, its job)
+        # the basket the bulk calls' forward walk loads next; -1 after a jump
+        self._walk = 0
         file.cached.add(self)
 
     # --- metadata ---
@@ -526,13 +534,14 @@ class BranchReader:
         job.finished.wait()
         return job.out if self._file.fd >= 0 else None
 
-    def _start_ahead(self, idx: int) -> None:
-        """Hand basket ``idx`` (and its count basket) to the helper."""
+    def _start_ahead(self, idx: int, counts: bool) -> None:
+        """Hand basket ``idx`` to the helper, and a var branch's count basket
+        ``idx`` too when ``counts`` says the walk fills counts."""
         file = self._file
         if file.fd < 0:
             return  # the caller's own load raises FileClosed
         baskets = [(self._desc.name, self._baskets[idx])]
-        if self._var:
+        if counts and self._var:
             cr = self.count_reader
             baskets.append((cr._desc.name, cr._baskets[idx]))
         job = _helper.submit(file, baskets)
@@ -553,7 +562,8 @@ class BranchReader:
 
         A walk whose next loads are baskets ``idx + 1`` up to ``stop - 1``
         passes ``stop``: unless this basket was read ahead, the next one is
-        then read ahead when both are compressed.
+        then read ahead when both are compressed, with a var branch's count
+        basket only when this load fills ``counts``.
         """
         bk = self._baskets[idx]
         nbytes = bk.uncompressed_size
@@ -567,7 +577,7 @@ class BranchReader:
                 got = None if self._ahead is None else self._claim(idx)
                 if (got is None and idx + 1 < stop
                         and self._baskets[idx + 1].codec is not _CODEC_NONE):
-                    self._start_ahead(idx + 1)
+                    self._start_ahead(idx + 1, counts is not None)
                 payload = self._fetch(bk) if got is None else self._take(got[0])
             mem = buf._prepare(nbytes, self._etype, state, bk.n_entries,
                                nbytes // self._width)
@@ -588,8 +598,9 @@ class BranchReader:
                 return mem
             if self._var:
                 cr = self.count_reader
-                raw = (cr._fetch(cr._baskets[idx]) if got is None
-                       else cr._take(got[1]))
+                # a read-ahead started by a load without counts has none
+                raw = (cr._take(got[1]) if got is not None and len(got) > 1
+                       else cr._fetch(cr._baskets[idx]))
                 counts._set(np.frombuffer(raw, dtype=">u4"))
                 total = counts.total()
             else:  # n copies of k, without summing them
@@ -607,12 +618,32 @@ class BranchReader:
 
     # --- bulk reads ---
 
+    def _walk_stop(self, idx: int) -> int:
+        """The ``stop`` a bulk call passes to its load of basket ``idx``.
+
+        The two bulk calls share one forward walk, from basket 0 one basket
+        per call, and a call for the walk's next basket reads ahead; after
+        the last basket the walk may begin again at 0. Any other call jumps:
+        it and every later bulk call of this reader read nothing ahead.
+        """
+        if idx != self._walk:
+            self._walk = -1
+            return 0
+        n = len(self._baskets)
+        self._walk = idx + 1 if idx + 1 < n else 0
+        return n
+
     def get_bulk_entries(self, entry: int, user_buf: BulkBuffer) -> int:
         """Copy the basket starting at ``entry`` into ``user_buf``, deserialized.
 
         ``entry`` must be a basket start; returns the basket's event count.
+        Called for basket 0, 1, 2, ... in turn (a forward walk, shared with
+        ``get_entries_serialized``), a compressed basket's load reads the
+        next one ahead; a call for any other basket is a jump, after which
+        this reader's bulk calls read nothing ahead.
         """
-        self._load(self._basket_at_start(entry), user_buf,
+        idx = self._basket_at_start(entry)
+        self._load(idx, user_buf, stop=self._walk_stop(idx),
                    state=BufferState.DESERIALIZED)
         return user_buf.event_count
 
@@ -623,13 +654,15 @@ class BranchReader:
         Var-array branches require ``count_buf``, which receives the
         per-event element counts; other shapes fill it if provided. BOOL
         bytes are handed out unchecked. Returns the basket's event count.
+        It reads ahead in a forward walk as ``get_bulk_entries`` does, and
+        a var branch's count basket only when ``count_buf`` is given.
         """
         idx = self._basket_at_start(entry)
         if self._var and count_buf is None:
             raise CountBufferRequired(
                 f"branch {self._desc.name!r} is a var array; pass a CountBuffer"
             )
-        self._load(idx, user_buf, count_buf, check_bool=False)
+        self._load(idx, user_buf, count_buf, self._walk_stop(idx), check_bool=False)
         return user_buf.event_count
 
     # --- per-entry read ---

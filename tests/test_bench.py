@@ -334,6 +334,27 @@ def test_cli_verify_corrupt_exit_1(tmp_path):
     assert "FAIL" in r.output
 
 
+def test_cli_verify_names_every_bad_basket(tmp_path):
+    """A bad basket does not stop the check of its branch: baskets 1 and 3
+    that do not inflate give one FAIL line each, naming its first entry."""
+    path = tmp_path / "two.bkio"
+    bench.generate(500, basket_capacity=64, codec=Codec.DEFLATE, out=path)
+    baskets = read_footer(path).branches[0].baskets
+    data = bytearray(path.read_bytes())
+    for k in (1, 3):
+        data[baskets[k].file_offset] = 0xFF  # BTYPE 11
+    bad = tmp_path / "two_bad.bkio"
+    bad.write_bytes(bytes(data))
+    r = CliRunner().invoke(cli_main, ["verify", "--file", str(bad)])
+    assert r.exit_code == 1
+    fails = [line for line in r.output.splitlines() if line.startswith("  FAIL:")]
+    assert len(fails) == 2, r.output
+    for line, k in zip(fails, (1, 3)):
+        assert f"basket at entry {baskets[k].first_entry}: DecompressError" in line
+    checked = 500 - baskets[1].n_entries - baskets[3].n_entries
+    assert f"{len(baskets)} baskets, {checked} entries cross-checked" in r.output
+
+
 def test_cli_run_corrupt_deflate_exit_1(tmp_path):
     """A deflate stream that does not inflate stops ``run`` with one
     ``error:`` line and exit 1, in every scenario, whichever reads ahead."""

@@ -18,12 +18,15 @@ from bulkio import (
     BulkBuffer,
     Codec,
     CountBuffer,
+    CountBufferRequired,
     DecompressError,
     ElementType,
+    EntryOutOfRange,
     EventReader,
     FastEventReader,
     FileClosed,
     Frame,
+    NotBasketStart,
     SourceMode,
     TreeFile,
     TreeWriter,
@@ -35,6 +38,14 @@ from bulkio import (
 )
 
 N, CAPACITY = 45, 8  # 6 baskets, the last of 5 events
+FIRSTS = list(range(0, N, CAPACITY))
+
+# the two bulk calls; only the serialized one fills the CountBuffer
+BULK_CALLS = {
+    "get_bulk_entries": lambda rd, entry, buf, cbuf: rd.get_bulk_entries(entry, buf),
+    "get_entries_serialized": lambda rd, entry, buf, cbuf: rd.get_entries_serialized(
+        entry, buf, cbuf),
+}
 
 
 def _write(path, codec: Codec = Codec.DEFLATE):
@@ -134,6 +145,21 @@ def test_corrupt_next_basket_raises_at_its_own_load(deflate_file, jobs, broken, 
         if column == "x":
             with pytest.raises(DecompressError):
                 Frame(src).sum("x")  # the array plan walks blocks
+
+    with TreeFile(deflate_file) as tf:
+        for name, call in BULK_CALLS.items():
+            rd, buf, cbuf = tf.branch(column), BulkBuffer(), CountBuffer()
+            started = len(jobs)
+            assert call(rd, 0, buf, cbuf) == CAPACITY
+            assert rd._ahead is not None and len(jobs) == started + 1
+            if broken == "v.count" and name == "get_bulk_entries":
+                # it reads no counts, so its read-ahead leaves them alone
+                assert len(jobs[-1].baskets) == 1
+                assert call(rd, CAPACITY, buf, cbuf) == CAPACITY
+                continue
+            with pytest.raises(DecompressError):
+                call(rd, CAPACITY, buf, cbuf)
+            assert buf.state is None and buf.nbytes == 0  # left unfilled
 
 
 # --- close and abandon ---
@@ -242,6 +268,135 @@ def test_a_released_walk_drops_its_read_ahead(deflate_file, jobs):
         assert x._rd._ahead is None
 
 
+# --- the two bulk calls read ahead in a forward walk ---
+
+def _bulk_walk(tf, name: str, order, column: str = "v") -> tuple:
+    """Call ``name`` on a fresh reader for the baskets of ``order`` (their
+    indices): the sums, counts and ``baskets_read`` of the calls."""
+    rd, buf, cbuf, seen = tf.branch(column), BulkBuffer(), CountBuffer(), []
+    for idx in order:
+        BULK_CALLS[name](rd, FIRSTS[idx], buf, cbuf)
+        seen.append((float(np.sum(buf.as_array(), dtype=np.float64)),
+                     cbuf.counts.tolist()))
+    counted = rd.count_reader.baskets_read if column == "v" else 0
+    return seen, rd.baskets_read, counted
+
+
+@pytest.mark.parametrize("name", BULK_CALLS)
+def test_forward_bulk_walk_reads_ahead_in_pairs(deflate_file, jobs, name):
+    """Baskets 0, 2 and 4 load inline and read 1, 3 and 5 ahead, and a walk
+    that reached the last basket reads ahead again from basket 0."""
+    with TreeFile(deflate_file) as tf:
+        rd, buf, cbuf = tf.branch("v"), BulkBuffer(), CountBuffer()
+        for _ in range(2):
+            for idx, first in enumerate(FIRSTS):
+                BULK_CALLS[name](rd, first, buf, cbuf)
+                assert (rd._ahead is not None) == (idx % 2 == 0)
+        assert len(jobs) == 6
+        with_counts = name == "get_entries_serialized"
+        assert all(len(job.baskets) == 1 + with_counts for job in jobs)
+
+
+@pytest.mark.parametrize("name", BULK_CALLS)
+@pytest.mark.parametrize("order", [
+    [1, 2, 3, 4, 5],        # begins past basket 0
+    [0, 0, 1, 2, 3, 4, 5],  # repeats
+    [0, 1, 2, 1, 2, 3],     # goes back
+    [0, 2, 3, 4, 5],        # skips
+    [0, 1, 2, 3, 4, 5, 5],  # repeats the last
+    [3, 1, 4, 0, 5, 2],     # random order
+])
+def test_bulk_jump_reads_nothing_ahead_from_then_on(deflate_file, jobs,
+                                                    monkeypatch, name, order):
+    """The first call that is not the walk's next basket drops the walk's
+    read-ahead, and neither it nor any later call starts a job; every
+    call's result and count equal those without read-ahead."""
+    jump = next(i for i, idx in enumerate(order) if idx != i % len(FIRSTS))
+    with TreeFile(deflate_file) as tf:
+        rd, buf, cbuf = tf.branch("v"), BulkBuffer(), CountBuffer()
+        for i, idx in enumerate(order):
+            if i == jump:
+                started = len(jobs)
+            BULK_CALLS[name](rd, FIRSTS[idx], buf, cbuf)
+            if i >= jump:
+                assert rd._ahead is None
+        assert len(jobs) == started == (jump + 1) // 2
+        ahead = _bulk_walk(tf, name, order)
+        monkeypatch.setattr(reader.BranchReader, "_start_ahead", lambda rd, *args: None)
+        assert _bulk_walk(tf, name, order) == ahead
+
+
+def test_mixed_bulk_calls_share_one_walk(deflate_file, jobs, monkeypatch):
+    """``get_bulk_entries`` reads basket k + 1 ahead without its count
+    basket, which ``get_entries_serialized`` of k + 1 then reads itself; the
+    other way round, ``get_bulk_entries`` leaves the count basket read
+    ahead untaken. Counts and ``baskets_read`` equal those without
+    read-ahead."""
+    def mixed(tf):
+        rd, buf, cbuf, seen = tf.branch("v"), BulkBuffer(), CountBuffer(), []
+        for idx, first in enumerate(FIRSTS):
+            if idx < 4:  # bulk then serialized, for baskets 0-1 and 2-3
+                call = "get_entries_serialized" if idx % 2 else "get_bulk_entries"
+            else:  # serialized then bulk
+                call = "get_bulk_entries" if idx % 2 else "get_entries_serialized"
+            cbuf = CountBuffer()
+            BULK_CALLS[call](rd, first, buf, cbuf)
+            seen.append((call, buf.to_bytes(), cbuf.counts.tolist()))
+        return seen, rd.baskets_read, rd.count_reader.baskets_read
+
+    with TreeFile(deflate_file) as tf:
+        ahead = mixed(tf)
+        assert [len(job.baskets) for job in jobs] == [1, 1, 2]
+        monkeypatch.setattr(reader.BranchReader, "_start_ahead", lambda rd, *args: None)
+        assert mixed(tf) == ahead
+    assert ahead[1:] == (6, 3)  # the count baskets of 1, 3 and 4 only
+
+
+@pytest.mark.parametrize("name", BULK_CALLS)
+def test_a_refused_bulk_call_leaves_the_walk_going(tmp_path, jobs, name):
+    """A call that raises NotBasketStart, EntryOutOfRange or
+    CountBufferRequired is not part of the walk; one whose basket does not
+    inflate is: after each, the next basket's call takes its read-ahead and
+    the walk goes on reading ahead."""
+    path = _write(tmp_path / "bad.bkio")
+    _corrupt(path, "v", 2)
+    call = BULK_CALLS[name]
+    with TreeFile(path) as tf:
+        rd, buf, cbuf = tf.branch("v"), BulkBuffer(), CountBuffer()
+        call(rd, 0, buf, cbuf)
+        for refused, exc in ((1, NotBasketStart), (N, EntryOutOfRange),
+                             (-1, EntryOutOfRange)):
+            with pytest.raises(exc):
+                call(rd, refused, buf, cbuf)
+        with pytest.raises(CountBufferRequired):
+            rd.get_entries_serialized(CAPACITY, buf)
+        assert rd._ahead is not None and len(jobs) == 1
+        call(rd, FIRSTS[1], buf, cbuf)  # takes the read-ahead
+        assert len(jobs) == 1 and rd.baskets_read == 2
+        with pytest.raises(DecompressError):
+            call(rd, FIRSTS[2], buf, cbuf)  # inline, reading basket 3 ahead
+        assert rd._ahead is not None and len(jobs) == 2
+        for first in FIRSTS[3:]:
+            call(rd, first, buf, cbuf)
+        assert len(jobs) == 3 and rd.baskets_read == 6
+
+
+@pytest.mark.parametrize("name", BULK_CALLS)
+def test_close_mid_bulk_walk_raises_file_closed(deflate_file, jobs, name):
+    """Closing the file drops the bulk walk's read-ahead: the next call
+    raises FileClosed, though its basket was already inflated."""
+    call, buf, cbuf = BULK_CALLS[name], BulkBuffer(), CountBuffer()
+    with TreeFile(deflate_file) as tf:
+        rd = tf.branch("v")
+        call(rd, 0, buf, cbuf)
+        assert rd._ahead is not None
+        jobs[0].finished.wait()  # basket 1 is inflated before the close
+    assert rd._ahead is None
+    with pytest.raises(FileClosed):
+        call(rd, CAPACITY, buf, cbuf)
+    assert buf.state is None  # left unfilled
+
+
 # --- read-ahead changes no result and no count ---
 
 def _walks(path) -> dict:
@@ -267,6 +422,17 @@ def _walks(path) -> dict:
                 frame.define("n", len, ["v"]).sum("n"),
             )
             out[n_slots] = (results, src.baskets_read, src.plans_run)
+    with TreeFile(path) as tf:
+        for name, call in BULK_CALLS.items():  # each on fresh readers
+            x, v = tf.branch("x"), tf.branch("v")
+            buf, cbuf, total = BulkBuffer(), CountBuffer(), []
+            for first in FIRSTS:
+                for rd in (x, v):
+                    call(rd, first, buf, cbuf)
+                    total.append(float(np.sum(buf.as_array(), dtype=np.float64)))
+                    total.append(cbuf.counts.tolist())
+            out[name] = (total, x.baskets_read, v.baskets_read,
+                         v.count_reader.baskets_read)
     return out
 
 
@@ -274,7 +440,7 @@ def test_read_ahead_changes_no_result_or_count(deflate_file, jobs, monkeypatch):
     ahead = _walks(deflate_file)
     assert jobs  # the walks read ahead
     started = len(jobs)
-    monkeypatch.setattr(reader.BranchReader, "_start_ahead", lambda rd, idx: None)
+    monkeypatch.setattr(reader.BranchReader, "_start_ahead", lambda rd, *args: None)
     assert _walks(deflate_file) == ahead
     assert len(jobs) == started
 
@@ -286,9 +452,6 @@ def test_demand_loads_and_codec_none_do_not_read_ahead(tmp_path, jobs):
         for e in range(N):
             x.get_entry(e)
             v.get_entry(e)
-        for first in range(0, N, CAPACITY):
-            x.get_bulk_entries(first, BulkBuffer())
-            v.get_entries_serialized(first, BulkBuffer(), CountBuffer())
     with EventReader(path) as events:
         v = events.attach_array("v", ElementType.F32)
         while events.next():
