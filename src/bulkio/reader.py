@@ -42,10 +42,13 @@ overlap. Codec-none baskets, whose read costs less than a hand-off, and
   basket. The first call for any other basket is a jump, and from then on
   that reader's bulk calls read nothing ahead. A call refused before its
   load leaves the walk as it was; one whose load fails is a step of it.
-* The helper runs only ``_read`` (a ``pread``) and ``decompress_payload``,
-  given the file's shared descriptor and the basket descriptors: it
-  touches no reader state. A reader holds at most one basket read ahead,
-  and a walk that is abandoned or released drops it.
+* A read-ahead job runs only ``_read`` (a ``pread``) and
+  ``decompress_payload``, given the file's shared descriptor and the
+  basket descriptors: it touches no reader state. A reader holds at most
+  one basket read ahead, and a walk that is abandoned or released drops
+  it. The helper also runs the writer's share of compressing the baskets
+  a writer call seals (see ``writer.py``): a job is any callable, kept
+  under a key, the file for a read-ahead and the writer for a write.
 * ``baskets_read`` is counted on the caller's thread when a load takes a
   basket, so it counts what it counted without read-ahead. An error the
   helper met is raised by the load of its basket, as that load would
@@ -55,7 +58,7 @@ overlap. Codec-none baskets, whose read costs less than a hand-off, and
   load raises :class:`FileClosed`, a basket read ahead or not, and so
   does a load that was waiting for its read-ahead when the file closed.
 * The helper is a daemon thread on a queue of its own, started by the
-  first read-ahead, so walks read ahead also while the interpreter shuts
+  first job, so walks read ahead also while the interpreter shuts
   down; where no thread can start, they load every basket themselves. A
   forked child starts its own helper, and a read-ahead from before the
   fork is loaded again by the child.
@@ -301,7 +304,7 @@ def _inflate(file: _OpenFile, name: str, bk: BasketDescriptor) -> tuple:
 
 
 def _inflate_all(file: _OpenFile, baskets: list) -> list:
-    """The helper's job: ``_inflate`` each ``(name, basket)`` in turn, up to
+    """A read-ahead job: ``_inflate`` each ``(name, basket)`` in turn, up to
     the first that fails."""
     out = []
     for name, bk in baskets:
@@ -312,23 +315,24 @@ def _inflate_all(file: _OpenFile, baskets: list) -> list:
 
 
 class _Job:
-    """One read-ahead: the ``(name, basket)`` pairs to inflate, the helper
-    that runs it, and, once ``finished`` is set, their outcomes in ``out``:
-    None when the job was cancelled or met an error outside BulkIOError, and
-    the load then reads its basket itself."""
+    """One piece of the helper's work: ``fn(*args)``, run under ``key`` (a
+    read-ahead's file, or a writer), the helper that runs it, and, once
+    ``finished`` is set, what ``fn`` returned in ``out``: None when the job
+    was cancelled or raised, and its submitter then does the work itself."""
 
-    __slots__ = ("file", "baskets", "helper", "out", "finished")
+    __slots__ = ("key", "fn", "args", "helper", "out", "finished")
 
-    def __init__(self, file: _OpenFile, baskets: list, helper: "_Helper"):
-        self.file = file
-        self.baskets = baskets
+    def __init__(self, key, fn, args: tuple, helper: "_Helper"):
+        self.key = key
+        self.fn = fn
+        self.args = args
         self.helper = helper
-        self.out: Optional[list] = None
+        self.out = None
         self.finished = threading.Event()
 
 
 class _Helper:
-    """The process's one read-ahead thread and its jobs not yet done.
+    """The process's one helper thread and its jobs not yet done.
 
     The thread is a daemon, started by the first job and fed by a queue of
     its own, so it takes jobs for as long as the interpreter runs threads:
@@ -342,15 +346,16 @@ class _Helper:
         self._jobs: dict[_Job, bool] = {}  # each job not done: is it running
         self._started = False
 
-    def submit(self, file: _OpenFile, baskets: list) -> Optional[_Job]:
-        """Queue a job; None when no thread can start (the interpreter is
-        shutting down), and the walk then loads every basket itself."""
-        job = _Job(file, baskets, self)
+    def submit(self, key, fn, *args) -> Optional[_Job]:
+        """Queue ``fn(*args)`` under ``key``; None when no thread can start
+        (the interpreter is shutting down), and the caller then does the
+        work itself."""
+        job = _Job(key, fn, args, self)
         with self._lock:
             if not self._started:
                 try:
                     threading.Thread(target=self._run, daemon=True,
-                                     name="bulkio-read-ahead").start()
+                                     name="bulkio-helper").start()
                 except RuntimeError:
                     return None
                 self._started = True
@@ -366,9 +371,9 @@ class _Helper:
                     continue  # cancelled while it waited
                 self._jobs[job] = True
             try:
-                job.out = _inflate_all(job.file, job.baskets)
+                job.out = job.fn(*job.args)
             except Exception:
-                pass  # the load meets the same error reading the basket itself
+                pass  # the submitter meets the same error doing the work itself
             finally:
                 with self._lock:
                     del self._jobs[job]
@@ -383,10 +388,10 @@ class _Helper:
             del self._jobs[job]
         job.finished.set()
 
-    def drain(self, file: _OpenFile) -> None:
-        """Cancel ``file``'s pending jobs and wait for its running ones."""
+    def drain(self, key) -> None:
+        """Cancel ``key``'s pending jobs and wait for its running ones."""
         with self._lock:
-            jobs = [job for job in self._jobs if job.file is file]
+            jobs = [job for job in self._jobs if job.key is key]
         for job in jobs:
             self.cancel(job)
             job.finished.wait()
@@ -544,7 +549,7 @@ class BranchReader:
         if counts and self._var:
             cr = self.count_reader
             baskets.append((cr._desc.name, cr._baskets[idx]))
-        job = _helper.submit(file, baskets)
+        job = _helper.submit(file, _inflate_all, file, baskets)
         if job is not None:
             self._ahead = (idx, job)
 

@@ -32,6 +32,22 @@ path, adding a chunk per basket it touches, and a flush joins them.
 native-order bytes; sealing the basket joins an array branch's rows into
 one chunk, swapped into disk order in place, and makes its count branch's
 chunk from the rows' lengths.
+
+A writer call (one ``extend``, the flush inside a ``fill``, or ``close``'s
+last flush) first seals every basket it fills, one payload per branch, then
+compresses them all, then writes them. With DEFLATE, two threads compress:
+the caller and the process's one helper thread (``reader._helper``), which
+take payloads, largest first, from one shared iterator. Only payloads of at
+least ``_SHARED_MIN`` bytes are shared, and only when those beyond the
+largest hold ``_HANDOFF_BYTES``; a call with less compresses everything on
+its own thread, as does a codec-none writer. A helper job that has not
+started when the caller runs out of payloads is cancelled, so a helper busy
+with a read-ahead never makes a writer wait, and any payload the helper did
+not compress is compressed by the caller. The baskets are then written in
+the order they were sealed, branch by branch, each with its own first
+entry. Which thread compressed a payload cannot change its bytes: each is
+compressed on its own, with the same settings, so files are byte-identical
+to those written on one thread.
 """
 
 from __future__ import annotations
@@ -46,6 +62,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import reader as _reader  # its _helper, replaced in a forked child
 from .errors import SchemaError, ShapeError, WriteError, WriterClosed
 from .format import (
     BasketDescriptor,
@@ -75,6 +92,14 @@ _FIXED_ARRAY = ShapeKind.FIXED_ARRAY  # a global is cheaper than an enum lookup
 # up to this many values, F32 is checked and packed by struct: an errstate
 # costs more than struct's per-value work until about 40 values
 _F32_PACKED = 32
+# a payload smaller than this compresses on the writer call's own thread:
+# two threads sharing payloads of about 100 bytes hand the interpreter lock
+# back and forth at every one
+_SHARED_MIN = 1 << 10
+# a writer call hands work to the helper thread only when the payloads it
+# shares hold this many bytes beyond the largest, which the caller takes
+# first: waking the helper costs about as much as compressing 8 KiB
+_HANDOFF_BYTES = 16 << 10
 
 SchemaEntry = tuple[str, ElementType, BranchShape]
 
@@ -316,6 +341,46 @@ def _fill_maker(arrays: tuple[bool, ...]):
     return namespace["make"]
 
 
+def _compress_all(payloads: list, codec: Codec, key) -> list:
+    """Each payload compressed, in order. Payloads of ``_SHARED_MIN`` bytes
+    or more are shared: when those beyond the largest hold
+    ``_HANDOFF_BYTES``, the caller and the helper thread, under ``key``,
+    take them, largest first, from one iterator, and the caller then
+    compresses the rest. A helper job not yet started when the caller runs
+    out is cancelled, one running is waited for, and any payload still
+    without output (its job cancelled or failed) is compressed on the
+    caller's thread. zlib releases the interpreter lock, so the two
+    compressions overlap."""
+    # the total is a cheap bound on what is shared beyond the largest
+    if codec is Codec.NONE or sum(map(len, payloads)) < _HANDOFF_BYTES:
+        return [compress_payload(p, codec) for p in payloads]
+    shared = sorted(
+        (i for i, p in enumerate(payloads) if len(p) >= _SHARED_MIN),
+        key=lambda i: -len(payloads[i]))
+    if sum(len(payloads[i]) for i in shared[1:]) < _HANDOFF_BYTES:
+        return [compress_payload(p, codec) for p in payloads]
+    out = [None] * len(payloads)
+
+    def compress(items) -> None:
+        for i in items:
+            out[i] = compress_payload(payloads[i], codec)
+
+    # next() on a list iterator is one step under the interpreter lock, so
+    # each payload goes to one thread
+    items = iter(shared)
+    helper = _reader._helper
+    job = helper.submit(key, compress, items)
+    try:
+        compress(chain(items, (i for i, p in enumerate(payloads)
+                               if len(p) < _SHARED_MIN)))
+    finally:
+        if job is not None:
+            helper.cancel(job)
+            job.finished.wait()
+    return [compress_payload(p, codec) if c is None else c
+            for p, c in zip(payloads, out)]
+
+
 class TreeWriter:
     """Builds a bulk file from a schema of (name, element type, shape) entries.
 
@@ -346,6 +411,8 @@ class TreeWriter:
                              if br.kind is not ShapeKind.SCALAR)
         self._n_filled = 0
         self._basket_first = 0  # first entry of the currently open basket
+        # sealed baskets not yet written: (branch, payload, first entry, entries)
+        self._sealed: list[tuple[_Branch, np.ndarray, int, int]] = []
         self._closed = False
         try:
             self._fobj = open(path, "wb")
@@ -511,8 +578,9 @@ class TreeWriter:
                 br.chunks.append(part.astype(br.disk).reshape(-1))
             self._n_filled += hi - lo
             if self._n_filled - self._basket_first == self._capacity:
-                self._flush()
+                self._seal_basket()
             lo = hi
+        self._write_sealed()
         return m
 
     def _check_open(self) -> None:
@@ -560,33 +628,43 @@ class TreeWriter:
             raise
 
     def _flush(self) -> None:
+        self._seal_basket()
+        self._write_sealed()
+
+    def _seal_basket(self) -> None:
+        """Seal the open basket: one payload per branch, to be written."""
         n = self._n_filled - self._basket_first
         if n == 0:
             return
         self._seal()
+        first = self._basket_first
         for br in self._branches:
             chunks, br.chunks = br.chunks, []
             payload = (chunks[0] if len(chunks) == 1
                        else np.concatenate(chunks, dtype=br.disk))
-            self._write_basket(br, payload.view("u1"), n)
+            self._sealed.append((br, payload.view("u1"), first, n))
         self._basket_first = self._n_filled
 
-    def _write_basket(self, br: _Branch, payload: np.ndarray, n_entries: int) -> None:
-        compressed = compress_payload(payload, self._codec)
-        try:
-            offset = self._fobj.tell()
-            self._fobj.write(compressed)
-        except OSError as exc:
-            self._abandon()
-            raise WriteError(f"basket write failed: {exc}") from exc
-        br.baskets.append(BasketDescriptor(
-            first_entry=self._basket_first,
-            n_entries=n_entries,
-            file_offset=offset,
-            compressed_size=len(compressed),
-            uncompressed_size=len(payload),
-            codec=self._codec,
-        ))
+    def _write_sealed(self) -> None:
+        """Compress the sealed baskets, then write them in the order sealed."""
+        sealed, self._sealed = self._sealed, []
+        blobs = _compress_all([s[1] for s in sealed], self._codec, self)
+        codec = self._codec
+        for (br, payload, first, n), blob in zip(sealed, blobs):
+            try:
+                offset = self._fobj.tell()
+                self._fobj.write(blob)
+            except OSError as exc:
+                self._abandon()
+                raise WriteError(f"basket write failed: {exc}") from exc
+            br.baskets.append(BasketDescriptor(
+                first_entry=first,
+                n_entries=n,
+                file_offset=offset,
+                compressed_size=len(blob),
+                uncompressed_size=len(payload),
+                codec=codec,
+            ))
 
     def _abandon(self) -> None:
         """Close the incomplete file after a failure; it must not be used."""

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -137,13 +140,47 @@ def deflate_bomb(tmp_path, recorded: int = 32 * 1024):
 
 @pytest.fixture(autouse=True)
 def no_read_ahead_outlives_its_file():
-    """Fail a test that leaves a read-ahead pending on a closed file:
-    closing a file must cancel its read-aheads or wait for them."""
+    """Fail a test that leaves a read-ahead pending on a closed file, or
+    any writer's job on the helper: closing a file must cancel its
+    read-aheads or wait for them, and a writer call must end its job."""
     yield
     helper = reader._helper
     with helper._lock:
-        left = [job for job in helper._jobs if job.file.fd < 0]
+        jobs = list(helper._jobs)
+    left = [job for job in jobs
+            if isinstance(job.key, reader._OpenFile) and job.key.fd < 0]
     assert not left, f"{len(left)} read-ahead(s) pending on a closed file"
+    writes = [job for job in jobs if isinstance(job.key, TreeWriter)]
+    assert not writes, f"{len(writes)} writer job(s) left on the helper"
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """Every job handed to the helper thread, in order."""
+    started = []
+
+    def spy(key, fn, *args):
+        job = submit(key, fn, *args)
+        started.append(job)
+        return job
+
+    submit = reader._helper.submit
+    monkeypatch.setattr(reader._helper, "submit", spy)
+    return started
+
+
+def reap(pid: int) -> int:
+    """The exit code of forked child ``pid``, killed if it runs 60 s."""
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung")
+        time.sleep(0.01)
 
 
 @pytest.fixture

@@ -11,6 +11,10 @@ and compared with the NONE file's payload for the same basket.
 
 The values come from integer arithmetic, not a random generator, so they
 do not depend on the numpy version.
+
+A DEFLATE writer compresses the baskets of a call on two threads, the
+caller and the helper; the last tests write the same DEFLATE files with
+and without the helper and demand equal bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import zlib
 import numpy as np
 import pytest
 
+import bulkio.reader as reader
 from bulkio import (
     Codec,
     ElementType,
@@ -164,3 +169,101 @@ def test_deflate_baskets_inflate_to_the_none_payloads(tmp_path, how):
             assert got == want, (bn.name, kn.first_entry)
             n_baskets += 1
     assert n_baskets == len(fn.branches) * -(-N // 64)
+
+
+# --- DEFLATE with and without the helper thread ---
+
+# per schema, a function of event i and the values it writes; every basket
+# of 8192 events holds payloads of at least 8 KiB, which two threads share,
+# and every basket of 16 events payloads under 1 KiB, which they never do
+HANDOFF_SCHEMAS = {
+    "f32": ([("x", ElementType.F32, scalar())], lambda rng, n: {
+        "x": rng.integers(0, 1 << 24, n).astype("f4")}),
+    "fixed": ([("f", ElementType.I16, fixed_array(3))], lambda rng, n: {
+        "f": rng.integers(-(1 << 15), 1 << 15, (n, 3)).astype("i2")}),
+    "shared-count": ([("pt", ElementType.F32, var_array(count_name="n")),
+                      ("q", ElementType.I8, var_array(count_name="n"))],
+                     lambda rng, n: _shared_count_columns(rng, n)),
+    "bool": ([("b", ElementType.BOOL, scalar())], lambda rng, n: {
+        "b": rng.integers(0, 2, n).astype(bool)}),
+}
+ABOVE, BELOW = 8192, 16  # basket capacities above and below the floor
+N_HANDOFF = 3 * ABOVE + 4096  # three full baskets and a partial one at close
+
+
+def _shared_count_columns(rng, n: int) -> dict:
+    counts = rng.integers(0, 7, n).astype("u4")
+    total = int(counts.sum())
+    return {"pt": (rng.integers(0, 1 << 24, total).astype("f4"), counts),
+            "q": (rng.integers(-128, 128, total).astype("i1"), counts)}
+
+
+def _part(cols: dict, offsets: dict, lo: int, hi: int) -> dict:
+    """extend's arguments for events [lo, hi) of whole-file columns; a var
+    column is (flat values, counts), with its element offsets in ``offsets``."""
+    out = {}
+    for name, col in cols.items():
+        if isinstance(col, tuple):
+            o = offsets[name]
+            out[name] = (col[0][o[lo]:o[hi]], col[1][lo:hi])
+        else:
+            out[name] = col[lo:hi]
+    return out
+
+
+def _write_handoff(path, schema_name: str, how: str, capacity: int) -> None:
+    """N_HANDOFF events by ``fill``, by ``extend`` in chunks that line up
+    with the baskets or do not, or by one ``extend`` sealing them all."""
+    schema, make = HANDOFF_SCHEMAS[schema_name]
+    cols = make(np.random.default_rng(19), N_HANDOFF)
+    with TreeWriter(path, schema, basket_capacity_entries=capacity,
+                    codec=Codec.DEFLATE) as w:
+        offsets = {name: np.concatenate([[0], np.cumsum(col[1], dtype="i8")])
+                   for name, col in cols.items() if isinstance(col, tuple)}
+        if how == "fill":
+            rows = {name: np.split(col[0], offsets[name][1:-1])
+                    if isinstance(col, tuple) else col
+                    for name, col in cols.items()}
+            for i in range(N_HANDOFF):
+                w.fill(**{name: col[i] for name, col in rows.items()})
+            return
+        step = {"aligned": capacity, "unaligned": capacity * 5 // 8 + 1,
+                "one-call": N_HANDOFF}[how]
+        for lo in range(0, N_HANDOFF, step):
+            w.extend(**_part(cols, offsets, lo, min(lo + step, N_HANDOFF)))
+
+
+@pytest.mark.parametrize("capacity", [BELOW, ABOVE])
+@pytest.mark.parametrize("how", ["fill", "aligned", "unaligned", "one-call"])
+@pytest.mark.parametrize("schema_name", list(HANDOFF_SCHEMAS))
+def test_deflate_files_are_the_same_with_and_without_the_helper(
+        tmp_path, monkeypatch, schema_name, how, capacity):
+    """Baskets compressed on the helper thread, in any order, are written
+    as one thread writes them; only shared payloads of 1 KiB or more, 16
+    KiB beyond a call's largest, go to the helper, so baskets of 16 events
+    never do, and one extend sealing three full baskets always does."""
+    alone, shared = tmp_path / "alone.bkio", tmp_path / "shared.bkio"
+    with monkeypatch.context() as m:
+        m.setattr(reader._Helper, "submit", lambda self, *args: None)
+        _write_handoff(alone, schema_name, how, capacity)
+    jobs = []
+    submit = reader._helper.submit
+
+    def spy(key, fn, *args):
+        jobs.append(key)
+        return submit(key, fn, *args)
+
+    monkeypatch.setattr(reader._helper, "submit", spy)
+    _write_handoff(shared, schema_name, how, capacity)
+    assert shared.read_bytes() == alone.read_bytes()
+    assert all(isinstance(key, TreeWriter) for key in jobs)
+    if capacity == BELOW:
+        assert not jobs
+    elif how == "one-call" or schema_name == "shared-count":
+        assert jobs
+    # written basket by basket, each basket's branches in footer order
+    footer = read_footer(shared)
+    offsets = [offset for _, _, offset in sorted(
+        (bk.first_entry, i, bk.file_offset)
+        for i, br in enumerate(footer.branches) for bk in br.baskets)]
+    assert offsets == sorted(offsets)

@@ -4,7 +4,6 @@ while a walk's caller inflates the current one, changing no result."""
 from __future__ import annotations
 
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -37,6 +36,8 @@ from bulkio import (
     var_array,
 )
 
+from conftest import reap
+
 N, CAPACITY = 45, 8  # 6 baskets, the last of 5 events
 FIRSTS = list(range(0, N, CAPACITY))
 
@@ -67,21 +68,6 @@ def deflate_file(tmp_path):
     return _write(tmp_path / "ahead.bkio")
 
 
-@pytest.fixture
-def jobs(monkeypatch):
-    """Every read-ahead job started, in order."""
-    started = []
-
-    def spy(file, baskets):
-        job = submit(file, baskets)
-        started.append(job)
-        return job
-
-    submit = reader._helper.submit
-    monkeypatch.setattr(reader._helper, "submit", spy)
-    return started
-
-
 def _hold(monkeypatch) -> tuple[threading.Event, threading.Event]:
     """Hold the helper thread after each basket it inflates from now on:
     ``running`` is set once it is held, and it goes on once ``release`` is
@@ -91,7 +77,7 @@ def _hold(monkeypatch) -> tuple[threading.Event, threading.Event]:
 
     def inflate(file, name, bk):
         out = real(file, name, bk)
-        if threading.current_thread().name == "bulkio-read-ahead":
+        if threading.current_thread().name == "bulkio-helper":
             running.set()
             release.wait(10)
         return out
@@ -154,7 +140,7 @@ def test_corrupt_next_basket_raises_at_its_own_load(deflate_file, jobs, broken, 
             assert rd._ahead is not None and len(jobs) == started + 1
             if broken == "v.count" and name == "get_bulk_entries":
                 # it reads no counts, so its read-ahead leaves them alone
-                assert len(jobs[-1].baskets) == 1
+                assert len(jobs[-1].args[1]) == 1
                 assert call(rd, CAPACITY, buf, cbuf) == CAPACITY
                 continue
             with pytest.raises(DecompressError):
@@ -294,7 +280,7 @@ def test_forward_bulk_walk_reads_ahead_in_pairs(deflate_file, jobs, name):
                 assert (rd._ahead is not None) == (idx % 2 == 0)
         assert len(jobs) == 6
         with_counts = name == "get_entries_serialized"
-        assert all(len(job.baskets) == 1 + with_counts for job in jobs)
+        assert all(len(job.args[1]) == 1 + with_counts for job in jobs)
 
 
 @pytest.mark.parametrize("name", BULK_CALLS)
@@ -346,7 +332,7 @@ def test_mixed_bulk_calls_share_one_walk(deflate_file, jobs, monkeypatch):
 
     with TreeFile(deflate_file) as tf:
         ahead = mixed(tf)
-        assert [len(job.baskets) for job in jobs] == [1, 1, 2]
+        assert [len(job.args[1]) for job in jobs] == [1, 1, 2]
         monkeypatch.setattr(reader.BranchReader, "_start_ahead", lambda rd, *args: None)
         assert mixed(tf) == ahead
     assert ahead[1:] == (6, 3)  # the count baskets of 1, 3 and 4 only
@@ -539,20 +525,6 @@ def test_walks_read_ahead_while_the_interpreter_shuts_down(deflate_file):
 
 # --- fork ---
 
-def _reap(pid: int) -> int:
-    """The exit code of child ``pid``, killed if it runs 60 s."""
-    deadline = time.monotonic() + 60
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung on its read-ahead")
-        time.sleep(0.01)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_completes_a_fast_reader_pass(deflate_file, jobs):
     """The helper thread does not survive a fork: the child starts its own
@@ -566,7 +538,7 @@ def test_forked_child_completes_a_fast_reader_pass(deflate_file, jobs):
             code = 0 if _walks(deflate_file)["fast"] == expected else 3
         finally:
             os._exit(code)
-    assert _reap(pid) == 0
+    assert reap(pid) == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -598,4 +570,4 @@ def test_forked_child_finishes_a_walk_begun_before_the_fork(
             finally:
                 os._exit(code)
         release.set()
-        assert _reap(pid) == 0
+        assert reap(pid) == 0
