@@ -12,6 +12,10 @@ over each slot, and the source counts the plans it ran
   reduction, so the frame switches to whole-basket kernels over the
   per-basket views of :meth:`DataSource.blocks`. Their results are bit for
   bit those of the per-event loop: a sum is the same left fold in float64.
+  It adds a basket's pairwise sum when no step of the fold can round (the
+  running sum and every value lie on one power-of-two grid, far enough
+  below float64's precision that every partial sum is exact), and else
+  folds the basket with ``np.add.accumulate``.
 * ``indexed``: every other plan, and every PER_ENTRY one. The node chain is
   compiled once per window into per-entry accessors and indexed by
   position, so filters short-circuit. In PER_ENTRY mode the window is the
@@ -529,14 +533,24 @@ def _hist_window(lo: float, hi: float, width: float, bins: int,
 # over a slot's basket views, with the results of the loops above.
 
 def _sum_array(acc: float, views: Iterator[np.ndarray]) -> float:
-    """``acc += v`` over every value of every view, in order. Per basket,
-    ``np.add.accumulate`` over ``[acc, *view]`` in float64 makes each prefix
-    the one before plus the next value, so its last is exactly that fold
-    (numpy's pairwise summation would not be). Like Python's float
-    additions, it overflows to infinity and makes NaN without a warning."""
+    """``acc += v`` over every value of every view, in order. A basket whose
+    fold :func:`_exact_sum` proves exact adds its pairwise ``np.add.reduce``;
+    once one is not, the rest of the slot runs ``np.add.accumulate`` over
+    ``[acc, *view]`` in float64, which makes each prefix the one before
+    plus the next value, so its last is exactly that fold (pairwise
+    summation would not be). Like Python's float additions, it overflows
+    to infinity and makes NaN without a warning."""
     buf = np.empty(0)
+    exact = True
     with np.errstate(over="ignore", invalid="ignore"):  # once per slot
         for view in views:
+            if exact and len(view):
+                view = view.astype(view.dtype.newbyteorder("="))
+                total = _exact_sum(acc, view)
+                if total is not None:
+                    acc = total
+                    continue
+                exact = False
             n = len(view) + 1
             if len(buf) < n:
                 buf = np.empty(n)
@@ -545,6 +559,54 @@ def _sum_array(acc: float, views: Iterator[np.ndarray]) -> float:
             part[1:] = view
             acc = float(np.add.accumulate(part, out=part)[-1])
     return acc
+
+
+# (q0, e, p): every value of a float dtype is a multiple of 2**q0, 2**e
+# overflows it, and p bits make its significand; an integer dtype's values
+# are multiples of 2**0
+_GRIDS = {np.dtype("f4"): (-149, 128, 24), np.dtype("f8"): (-1074, 1024, 53)}
+
+
+def _exact_sum(acc: float, values: np.ndarray) -> Optional[float]:
+    """``acc`` plus the sum of native ``values``, or None unless no step of
+    the left fold ``acc += v`` can round.
+
+    The proof: for a grid ``2**q`` with q <= 0, if ``acc`` and every value
+    (as float64) are multiples of ``2**q`` and ``|acc| + n * max|v|`` stays
+    under ``2**(52 + q)``, every partial sum, in any order, is a multiple of
+    ``2**q`` below ``2**(53 + q)``, so float64 holds it exactly; the bound
+    is computed in float64, and its two roundings cannot cross that one
+    bit of slack. Pairwise summation then gives the fold's bits, and a
+    zero is +0.0 in both, as a slot starts from +0.0. q is the finest
+    grid the bound allows, or the dtype's own when that is coarser.
+
+    ``acc`` and the two extreme values are tested on the grid as Python
+    floats. Every value of an integer dtype is on it, and so is every float
+    whose magnitude is at least ``2**(q + p - 1)``, p being its dtype's
+    significand bits, as its spacing is at least ``2**q``. Otherwise every
+    value is tested in its dtype, scaled by ``2**-q``: exact, as the scaled
+    values stay under ``2**52``. A scale the dtype cannot hold returns None
+    (inf would pass the test), and so does a NaN or an infinity.
+    """
+    hi, lo = float(np.maximum.reduce(values)), float(np.minimum.reduce(values))
+    bound = abs(acc) + len(values) * max(hi, -lo)  # NaN with any NaN value
+    if not bound < 2.0**52:
+        return None
+    q0, overflow, p = _GRIDS.get(values.dtype, (0, 0, 0))
+    q = max(math.frexp(bound)[1] - 52, q0)
+    # the scalars first: with values of one sign, the extreme nearest zero
+    # has the finest spacing, so it is the likeliest value off the grid
+    if not (math.ldexp(acc, -q).is_integer() and math.ldexp(lo, -q).is_integer()
+            and math.ldexp(hi, -q).is_integer()):
+        return None
+    nearest = lo if lo > 0 else -hi if hi < 0 else 0.0  # the least |v|
+    if q > q0 and nearest < math.ldexp(1.0, q + p - 1):
+        if -q >= overflow:
+            return None
+        scaled = values * values.dtype.type(math.ldexp(1.0, -q))
+        if np.count_nonzero(np.trunc(scaled) != scaled):
+            return None
+    return acc + float(np.add.reduce(values, dtype=np.float64))
 
 
 def _hist_array(lo: float, hi: float, width: float, bins: int,

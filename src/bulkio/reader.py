@@ -32,7 +32,9 @@ load. When that basket and the next are compressed, the load hands the
 next to the process's one helper thread, which inflates it (and a var
 branch's count basket, when the load fills counts) while the caller's
 thread inflates the current one; the load of that next basket then takes
-the result and reads nothing ahead, so baskets go in pairs. ``pread`` and
+the result and reads nothing ahead, so baskets go in pairs, unless the
+helper has not started it and is busy with other work, when the load
+reads the basket itself rather than wait in the queue. ``pread`` and
 zlib release the interpreter lock, which is what lets the two inflates
 overlap. Codec-none baskets, whose read costs less than a hand-off, and
 ``get_entry``, whose caller picks any entry, never read ahead.
@@ -379,14 +381,18 @@ class _Helper:
                     del self._jobs[job]
                 job.finished.set()
 
-    def cancel(self, job: _Job) -> None:
-        """Drop ``job`` unless it runs or is done. A job from before a fork
-        is not this helper's, and is left alone."""
+    def cancel(self, job: _Job, behind: bool = False) -> bool:
+        """Drop ``job`` unless it runs or is done, and with ``behind`` only
+        while another job runs, that is while it waits behind other work;
+        True when it was dropped. A job from before a fork is not this
+        helper's, and is left alone."""
         with self._lock:
-            if self._jobs.get(job) is not False:
-                return
+            if self._jobs.get(job) is not False or (
+                    behind and True not in self._jobs.values()):
+                return False
             del self._jobs[job]
         job.finished.set()
+        return True
 
     def drain(self, key) -> None:
         """Cancel ``key``'s pending jobs and wait for its running ones."""
@@ -527,7 +533,10 @@ class BranchReader:
         """The helper's outcomes for basket ``idx`` if it was read ahead,
         else None and the load reads it itself: a read-ahead of any other
         basket is dropped, and so is one that was cancelled, comes from
-        before a fork or finished after its file closed."""
+        before a fork or finished after its file closed. A read-ahead not
+        yet started while the helper runs other work (a writer's, or another
+        reader's) is dropped too, since reading it here is sooner; the load
+        waits only for one that runs, or one queued while no job runs."""
         ahead = self._ahead  # read once: another thread may close the file
         self._ahead = None
         if ahead is None:
@@ -535,6 +544,8 @@ class BranchReader:
         ahead_idx, job = ahead
         if ahead_idx != idx or job.helper is not _helper:
             _helper.cancel(job)
+            return None
+        if _helper.cancel(job, behind=True):
             return None
         job.finished.wait()
         return job.out if self._file.fd >= 0 else None

@@ -58,10 +58,11 @@ def _left_fold(values) -> float:
 
 
 def test_add_accumulate_is_a_left_fold():
-    """The array plan's sum rests on ``np.add.accumulate`` adding strictly
-    left to right: each output is the one before plus the next input. A
-    numpy that reassociated it, as ``np.sum``'s pairwise summation does,
-    would fail here."""
+    """The array plan's sum of a basket whose fold it cannot prove exact
+    rests on ``np.add.accumulate`` adding strictly left to right: each
+    output is the one before plus the next input. A numpy that
+    reassociated it, as ``np.sum``'s pairwise summation does, would fail
+    here."""
     rng = np.random.default_rng(7)
     cases = [
         np.array([1e16] + [1.0] * 1000),  # pairwise summation keeps the ones
@@ -174,6 +175,89 @@ def test_array_plan_at_its_edges(tmp_path, etype, values, lo, hi):
     path = tmp_path / "x.bkio"
     _write(path, etype, values, 3)
     _check_plans(path, etype, values, 4, lo, hi)
+
+
+# A basket adds its pairwise sum only when no step of the left fold can
+# round; nine values of _M9 stay under 2**52, nine of _M9 + 1 do not.
+_M9 = 2**52 // 9
+F32, F64 = ElementType.F32, ElementType.F64
+
+
+@pytest.mark.parametrize("etype,values,capacity", [
+    # 2**-133 is off the 2**-128 grid the bound allows, and 2**128 overflows
+    # float32: scaled by it, every value would pass as inf
+    (F32, [2.0**-133] * 7 + [2.0**-80], 8),
+    (F32, [2.0**-127] + [2.0**-120 + 2.0**-133] * 6 + [2.0**-80], 8),
+    (F64, [float(_M9)] * 9 + [float(_M9 + 1)] * 9, 9),
+    # halves: the bound under 2**51 allows the grid 2**-1, over it 2**0
+    (F64, [_M9 / 2 + 0.5] * 9 + [0.0] * 9 + [_M9 + 0.5] + [0.0] * 8, 9),
+    (F64, [2.0**53 - 8] + [1.0] * 15, 16),
+    # under the bound, but off its grid: the fold loses the small values
+    (F64, [1.0] + [2.0**-54] * 14 + [0.0], 16),
+    (F32, [2.0**30] + [2.0**-24] * 14 + [0.0], 16),
+    (F32, [-(2.0**30)] + [2.0**-24] * 14 + [1.0], 16),
+    # one sign, no value under 2**(q + 23): each is on the grid
+    (F32, [1.0 + (2 * k + 1) * 2.0**-23 for k in range(16)], 8),
+    (F32, [-1.0 - (2 * k + 1) * 2.0**-23 for k in range(16)], 8),
+    (F32, [2.0**-149] * 9 + [2.0**-149] * 8 + [1.0], 9),
+    (F64, [5e-324] * 9 + [-5e-324] * 9, 9),
+    (ElementType.I64, [2**48 - 1] * 16 + [0] + [2**49 + 1] * 14 + [2**50], 16),
+    (ElementType.U64, [2**48 - 1] * 16 + [0] + [2**49 + 1] * 14 + [2**50], 16),
+    (ElementType.I64, [2**53 // 8 + 1] * 8 + [-(2**53 // 8) - 1] * 8, 8),
+    (F32, [-0.0] * 9, 9),
+    (F64, [-0.0] * 18, 9),
+    # passes, then fails: 0.25 is off the 2**0 grid the next basket allows
+    (F64, [0.25, 0.0, 0.0, 2.0**50, 2.0**50, -(2.0**50)], 3),
+    # fails (it rounds), then a basket that would pass on its own
+    (F64, [2.0**53, 1.0, -(2.0**53), 1.0] * 2 + [1.0] * 8, 8),
+], ids=["f32-scale-overflows", "f32-scale-overflows-inside",
+        "f64-integers-straddle-2-52", "f64-halves-straddle-2-51",
+        "f64-past-2-53", "f64-off-the-grid", "f32-off-the-grid",
+        "f32-off-the-grid-mixed-signs", "f32-positive-narrow",
+        "f32-negative-narrow", "f32-subnormal", "f64-subnormal",
+        "i64-near-2-53-over-n", "u64-near-2-53-over-n", "i64-2-53-over-n",
+        "f32-minus-zero", "f64-minus-zero", "passes-then-fails",
+        "fails-then-passes"])
+def test_array_plan_sum_at_the_edges_of_its_exact_rule(tmp_path, etype, values,
+                                                       capacity):
+    """Each basket against Python's fold. In most of the cases that round,
+    the smallest and largest values are on the grid, so only the test of
+    every value can find the ones that are not."""
+    path = tmp_path / "x.bkio"
+    _write(path, etype, values, capacity)
+    _check_plans(path, etype, values, 4, -1e300, 1e300)
+
+
+def test_the_exact_rule_runs_until_a_basket_fails_it(tmp_path, monkeypatch):
+    """Integer-valued F32 baskets add their pairwise sums; ``[1e16]`` then a
+    thousand ones does not, since pairwise summation keeps the ones the
+    fold loses, and once a basket fails, the rest of its slot folds."""
+    from bulkio import dataframe
+
+    calls = []
+    real = dataframe._exact_sum
+
+    def spy(acc, values):
+        got = real(acc, values)
+        calls.append((len(values), got is not None))
+        return got
+
+    monkeypatch.setattr(dataframe, "_exact_sum", spy)
+    cases = [
+        (F32, [float(i) for i in range(100)], 32, [(32, True)] * 3 + [(4, True)]),
+        (F64, [1e16] + [1.0] * 1000, 8192, [(1001, False)]),
+        (F64, [1e16] + [1.0] * 1000, 256, [(256, False)]),
+    ]
+    for etype, values, capacity, want in cases:
+        path = tmp_path / f"x{capacity}.bkio"
+        _write(path, etype, values, capacity)
+        calls.clear()
+        with make_source(path, mode=SourceMode.BULK) as src:
+            got = Frame(src).sum("x")
+        assert calls == want
+        stored = np.array(values, dtype=etype.np_native)
+        assert _same(got, _left_fold(stored.tolist()))
+    assert got != float(np.sum(stored))  # pairwise summation differs
 
 
 @pytest.mark.parametrize("n_slots", [1, 2])

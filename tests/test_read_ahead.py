@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bulkio.reader as reader
+import bulkio.writer as writer
 from bulkio import (
     BulkBuffer,
     Codec,
@@ -477,6 +478,63 @@ def test_walks_on_many_threads_share_the_helper(deflate_file):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert results == [expected] * 20
+
+
+def test_a_walk_does_not_wait_behind_a_writer_job(deflate_file, tmp_path, jobs,
+                                                 monkeypatch):
+    """The helper is held inside a writer's compression, so every read-ahead
+    a walk starts waits in its queue: each load drops its basket's job and
+    reads the basket itself, and the walks end while the writer still
+    holds the helper, with the results and counts of walks beside an idle
+    helper, and no job of theirs left."""
+    expected = _walks(deflate_file)
+    running, release = threading.Event(), threading.Event()
+    real = writer.compress_payload
+
+    def compress(data, codec):
+        if threading.current_thread().name == "bulkio-helper":
+            running.set()
+            release.wait(30)
+        else:
+            running.wait(30)  # else the writer's thread may take every payload
+        return real(data, codec)
+
+    def write():
+        # seven payloads of about 4 KiB: the helper takes one of them
+        xs = np.random.default_rng(5).integers(0, 1 << 24, 7 << 10).astype("f4")
+        with TreeWriter(tmp_path / "w.bkio", [("x", ElementType.F32, scalar())],
+                        basket_capacity_entries=1 << 10, codec=Codec.DEFLATE) as w:
+            w.extend(x=xs)
+
+    def walk():
+        try:
+            results.append(_walks(deflate_file))
+        except BaseException as exc:  # reported by the assertion below
+            results.append(exc)
+
+    monkeypatch.setattr(writer, "compress_payload", compress)
+    results = []
+    writing, walking = threading.Thread(target=write), threading.Thread(target=walk)
+    try:
+        writing.start()
+        assert running.wait(10)
+        started = len(jobs)
+        walking.start()
+        walking.join(20)
+        assert not walking.is_alive(), "a walk waited behind the writer's job"
+        with reader._helper._lock:
+            left = list(reader._helper._jobs)
+        assert [type(job.key) for job in left] == [TreeWriter]
+    finally:
+        release.set()
+        writing.join(20)
+        if walking.ident is not None:  # started
+            walking.join(20)
+    assert not writing.is_alive()
+    assert results == [expected]
+    assert len(jobs) > started  # the walks read ahead, each job dropped
+    assert all(job.out is None for job in jobs[started:])
+    assert not reader._helper._jobs
 
 
 # --- interpreter shutdown ---
