@@ -11,17 +11,23 @@ over each slot, and the source counts the plans it ran
   no define in its plan has no Python callable between the basket and the
   reduction, so the frame switches to whole-basket kernels over the
   per-basket views of :meth:`DataSource.blocks`. Their results are bit for
-  bit those of the per-event loop: a sum is the same left fold in float64.
-  It adds a basket's pairwise sum when no step of the fold can round (the
-  running sum and every value lie on one power-of-two grid, far enough
-  below float64's precision that every partial sum is exact), and else
-  folds the basket with ``np.add.accumulate``.
+  bit those of the per-event loop.
 * ``indexed``: every other plan, and every PER_ENTRY one. The node chain is
   compiled once per window into per-entry accessors and indexed by
-  position, so filters short-circuit. In PER_ENTRY mode the window is the
-  whole slot and each column value is one ``BranchReader.get_entry`` call;
-  in BULK mode a window is one basket, loaded into each column's reader
-  and decoded once into a list of per-event values.
+  position, so filters short-circuit. A window is one basket's entries. In
+  PER_ENTRY mode each column value is one ``BranchReader.get_entry`` call;
+  in BULK mode the basket is loaded into each column's reader and decoded
+  once into a list of per-event values.
+
+Every path sums a column the same way, so its bits depend neither on the
+plan nor on the mode nor on the slot count. A basket's sum is the pairwise
+``np.add.reduce`` over one contiguous native float64 array of that basket's
+selected values: its view cast with ``astype``, or the values the indexed
+loop collected per event. The total is the left fold of the basket sums,
+from +0.0, in entry order over the whole source; slots cut at basket starts,
+so no basket splits across two, and the running total passes from one slot
+to the next. Like Python's float additions, a sum overflows to infinity and
+makes NaN without a warning, and a NaN sum is ``math.nan``.
 
 Readers live only while their action runs. :func:`direct_sum` and friends
 bypass the frame and reduce over the same per-basket views, which
@@ -42,7 +48,7 @@ from bisect import bisect_left
 from contextlib import closing
 from functools import partial
 from os import PathLike
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -222,27 +228,28 @@ class DataSource:
         return col
 
     def _windows(self, slot: int, columns: Sequence[str]):
-        """``(entries, {column: value of entry})`` for each window of a slot.
+        """``(entries, {column: value of entry})`` for each basket of a slot.
 
-        PER_ENTRY: one window, the slot's entries, each value one
-        ``get_entry`` call. BULK: one window per basket, entries ``0..n-1``
-        indexing each column's values decoded from that basket. The
-        readers are released when the generator finishes or is closed.
+        PER_ENTRY: entries are the basket's entries, each value one
+        ``get_entry`` call. BULK: entries ``0..n-1`` index each column's
+        values decoded from that basket. The readers are released when the
+        generator finishes or is closed.
         """
         start, stop = self.slot_ranges[slot]
+        firsts = self._firsts
+        lo, hi = bisect_left(firsts, start), bisect_left(firsts, stop)
+        edges = firsts[lo:hi]
+        edges.append(stop)
         readers: list[BranchReader] = []
         try:
             for c in columns:
                 readers.append(self._open(c))
             if self.mode is SourceMode.PER_ENTRY:
-                yield range(start, stop), {
-                    c: rd.get_entry for c, rd in zip(columns, readers)}
+                get = {c: rd.get_entry for c, rd in zip(columns, readers)}
+                for first, end in zip(edges, edges[1:]):
+                    yield range(first, end), get
                 return
-            firsts = self._firsts
-            lo, hi = bisect_left(firsts, start), bisect_left(firsts, stop)
             cols = [_BulkColumn(rd, hi) for rd in readers]  # read ahead to hi
-            edges = firsts[lo:hi]
-            edges.append(stop)
             for first, end in zip(edges, edges[1:]):
                 yield range(end - first), {
                     c: col.load(first).__getitem__ for c, col in zip(columns, cols)}
@@ -353,8 +360,9 @@ class Frame:
     """Lazily composed filter/define graph over a data source.
 
     Nodes apply in declaration order; a define's column is visible to every
-    later node and to actions. Actions fold per-slot results in slot order,
-    with sums accumulated in float64 per slot.
+    later node and to actions. Actions fold the slots in slot order, each
+    from the result of the one before; a sum is the one float64 sum of the
+    module docstring.
     """
 
     def __init__(self, source: DataSource, _nodes: tuple = ()):
@@ -393,24 +401,20 @@ class Frame:
 
     def count(self) -> int:
         """Number of events passing all filters."""
-        return self._fold(None, _count_window, None, int, int.__add__)
+        return self._fold(None, _count_window, None, int)
 
     def sum(self, column: str) -> float:
-        """Float64 sum of a scalar numeric column over passing events; a NaN
-        sum is ``math.nan``, whose sign does not depend on the plan."""
+        """Float64 sum of a scalar numeric column over passing events, by
+        the one sum of the module docstring; a NaN sum is ``math.nan``."""
         self._check_action_column(column)
-        total = self._fold(column, _sum_window, _sum_array, float, float.__add__)
-        # the sign kept where two NaNs meet follows the compiled add's
-        # operand order, which differs between the loops
-        return math.nan if total != total else total
+        return _nan_free(self._fold(column, _sum_window, _sum_baskets, float))
 
     def histogram(self, column: str, bins: int, lo: float, hi: float) -> np.ndarray:
         """Fixed-width histogram counts of a scalar numeric column on [lo, hi)."""
         binning = _binning(bins, lo, hi)
         self._check_action_column(column)
         counts = self._fold(column, partial(_hist_window, *binning),
-                            partial(_hist_array, *binning), lambda: [0] * bins,
-                            lambda a, b: list(map(int.__add__, a, b)))
+                            partial(_hist_array, *binning), lambda: [0] * bins)
         return np.asarray(counts, dtype=np.int64)
 
     def _check_action_column(self, column: str) -> None:
@@ -432,40 +436,40 @@ class Frame:
         nodes.reverse()
         return [c for c in self._source.column_names if c in needed], nodes
 
-    def _fold(self, column: Optional[str], window, array_window, zero, combine):
-        """Run an action over every slot with one of two plans, counted in
-        the source's :attr:`DataSource.plans_run`:
+    def _fold(self, column: Optional[str], window, array_window, zero):
+        """Run an action with one of two plans, counted in the source's
+        :attr:`DataSource.plans_run`:
 
         * ``array``: a BULK plan with no node, on a catalog column, runs
-          ``array_window(acc, views)`` over the slot's basket views from
-          :meth:`DataSource.blocks`;
+          ``array_window(zero(), views)`` over the basket views of every
+          slot from :meth:`DataSource.blocks`;
         * ``indexed``: every other plan runs
-          ``window(acc, entries, read, passes)`` over each window.
+          ``acc = window(acc, entries, read, passes)`` over each window of
+          each slot, from ``acc = zero()``.
 
-        Each slot folds in entry order from ``zero()``; slot results combine
-        in slot order."""
+        Either way the result folds in entry order over the whole source,
+        one basket at a time, so a sum is the one sum of the module
+        docstring: each basket's pairwise sum, added to the running total
+        from +0.0, whatever the plan, the mode or the slot count."""
         columns, nodes = self._plan(column)
         source = self._source
         array = (column is not None and not nodes
                  and source.mode is SourceMode.BULK)
         source._plans["array" if array else "indexed"] += 1
-        result = zero()
+        if array:
+            with closing(source.blocks(column)) as views:
+                return array_window(zero(), views)
+        acc = zero()
         for slot in range(source.n_slots):
-            acc = zero()
-            if array:
-                with closing(source.blocks(column, slot)) as views:
-                    acc = array_window(acc, views)
-            else:
-                with closing(source._windows(slot, columns)) as windows:
-                    for entries, values in windows:
-                        read, passes = _compile(nodes, values, column)
-                        try:  # would end a caller's generator silently
-                            acc = window(acc, entries, read, passes)
-                        except StopIteration as exc:
-                            raise RuntimeError(
-                                "a define or filter raised StopIteration") from exc
-            result = combine(result, acc)
-        return result
+            with closing(source._windows(slot, columns)) as windows:
+                for entries, values in windows:
+                    read, passes = _compile(nodes, values, column)
+                    try:  # would end a caller's generator silently
+                        acc = window(acc, entries, read, passes)
+                    except StopIteration as exc:
+                        raise RuntimeError(
+                            "a define or filter raised StopIteration") from exc
+        return acc
 
 
 def _call(fn: Callable, args: Sequence[Callable]) -> Callable:
@@ -508,14 +512,13 @@ def _count_window(n: int, entries: range, read, passes) -> int:
 
 
 def _sum_window(acc: float, entries: range, read, passes) -> float:
+    """``acc`` plus the sum of one window, a basket: its selected values are
+    collected per event, then summed as :func:`_sum_baskets` sums a view."""
     if passes is None:
-        for e in entries:
-            acc += read(e)
+        values = [read(e) for e in entries]
     else:
-        for e in entries:
-            if passes(e):
-                acc += read(e)
-    return acc
+        values = [read(e) for e in entries if passes(e)]
+    return _sum_collected(acc, values)
 
 
 def _hist_window(lo: float, hi: float, width: float, bins: int,
@@ -530,83 +533,31 @@ def _hist_window(lo: float, hi: float, width: float, bins: int,
 
 
 # The array inner loops of a BULK plan with no node: whole-basket kernels
-# over a slot's basket views, with the results of the loops above.
+# over the basket views, with the results of the loops above. Every sum,
+# the indexed loop's too, runs _sum_baskets.
 
-def _sum_array(acc: float, views: Iterator[np.ndarray]) -> float:
-    """``acc += v`` over every value of every view, in order. A basket whose
-    fold :func:`_exact_sum` proves exact adds its pairwise ``np.add.reduce``;
-    once one is not, the rest of the slot runs ``np.add.accumulate`` over
-    ``[acc, *view]`` in float64, which makes each prefix the one before
-    plus the next value, so its last is exactly that fold (pairwise
-    summation would not be). Like Python's float additions, it overflows
-    to infinity and makes NaN without a warning."""
-    buf = np.empty(0)
-    exact = True
-    with np.errstate(over="ignore", invalid="ignore"):  # once per slot
-        for view in views:
-            if exact and len(view):
-                view = view.astype(view.dtype.newbyteorder("="))
-                total = _exact_sum(acc, view)
-                if total is not None:
-                    acc = total
-                    continue
-                exact = False
-            n = len(view) + 1
-            if len(buf) < n:
-                buf = np.empty(n)
-            part = buf[:n]
-            part[0] = acc
-            part[1:] = view
-            acc = float(np.add.accumulate(part, out=part)[-1])
+def _sum_baskets(acc: float, baskets: Iterable[np.ndarray]) -> float:
+    """``acc`` plus the sum of each basket, in order: the one sum of a column
+    (see the module docstring). Each basket is a contiguous array, which
+    ``astype`` casts to native float64 unless it is that already: a reduce
+    that casts as it goes works through ``np.getbufsize()`` elements at a
+    time, each chunk a pairwise sum of its own, so its bits could differ."""
+    reduce, f8 = np.add.reduce, np.float64  # np.sum's kernel, not its wrapper
+    with np.errstate(over="ignore", invalid="ignore"):  # once per fold
+        for values in baskets:
+            acc += float(reduce(values.astype(f8, copy=False)))
     return acc
 
 
-# (q0, e, p): every value of a float dtype is a multiple of 2**q0, 2**e
-# overflows it, and p bits make its significand; an integer dtype's values
-# are multiples of 2**0
-_GRIDS = {np.dtype("f4"): (-149, 128, 24), np.dtype("f8"): (-1074, 1024, 53)}
+def _sum_collected(acc: float, values: list) -> float:
+    """``acc`` plus the sum of one basket's values collected per event."""
+    return _sum_baskets(acc, (np.fromiter(values, np.float64, len(values)),))
 
 
-def _exact_sum(acc: float, values: np.ndarray) -> Optional[float]:
-    """``acc`` plus the sum of native ``values``, or None unless no step of
-    the left fold ``acc += v`` can round.
-
-    The proof: for a grid ``2**q`` with q <= 0, if ``acc`` and every value
-    (as float64) are multiples of ``2**q`` and ``|acc| + n * max|v|`` stays
-    under ``2**(52 + q)``, every partial sum, in any order, is a multiple of
-    ``2**q`` below ``2**(53 + q)``, so float64 holds it exactly; the bound
-    is computed in float64, and its two roundings cannot cross that one
-    bit of slack. Pairwise summation then gives the fold's bits, and a
-    zero is +0.0 in both, as a slot starts from +0.0. q is the finest
-    grid the bound allows, or the dtype's own when that is coarser.
-
-    ``acc`` and the two extreme values are tested on the grid as Python
-    floats. Every value of an integer dtype is on it, and so is every float
-    whose magnitude is at least ``2**(q + p - 1)``, p being its dtype's
-    significand bits, as its spacing is at least ``2**q``. Otherwise every
-    value is tested in its dtype, scaled by ``2**-q``: exact, as the scaled
-    values stay under ``2**52``. A scale the dtype cannot hold returns None
-    (inf would pass the test), and so does a NaN or an infinity.
-    """
-    hi, lo = float(np.maximum.reduce(values)), float(np.minimum.reduce(values))
-    bound = abs(acc) + len(values) * max(hi, -lo)  # NaN with any NaN value
-    if not bound < 2.0**52:
-        return None
-    q0, overflow, p = _GRIDS.get(values.dtype, (0, 0, 0))
-    q = max(math.frexp(bound)[1] - 52, q0)
-    # the scalars first: with values of one sign, the extreme nearest zero
-    # has the finest spacing, so it is the likeliest value off the grid
-    if not (math.ldexp(acc, -q).is_integer() and math.ldexp(lo, -q).is_integer()
-            and math.ldexp(hi, -q).is_integer()):
-        return None
-    nearest = lo if lo > 0 else -hi if hi < 0 else 0.0  # the least |v|
-    if q > q0 and nearest < math.ldexp(1.0, q + p - 1):
-        if -q >= overflow:
-            return None
-        scaled = values * values.dtype.type(math.ldexp(1.0, -q))
-        if np.count_nonzero(np.trunc(scaled) != scaled):
-            return None
-    return acc + float(np.add.reduce(values, dtype=np.float64))
+def _nan_free(total: float) -> float:
+    """A sum as the actions return it: the sign kept where two NaNs meet
+    follows the compiled add's operand order, so any NaN is ``math.nan``."""
+    return math.nan if total != total else total
 
 
 def _hist_array(lo: float, hi: float, width: float, bins: int,
@@ -649,19 +600,12 @@ def direct_count(source: DataSource) -> int:
 
 def direct_sum(source: DataSource, column: str) -> float:
     """Float64 sum of every element of a numeric column (scalar or array),
-    reduced basket-by-basket over the serialized views of
-    :meth:`DataSource.blocks`. Each basket is one ``np.add.reduce`` in
-    float64, the kernel and the bits of ``np.sum``; basket sums add up in
-    order within a slot, and slot sums in slot order."""
+    reduced basket by basket over the serialized views of
+    :meth:`DataSource.blocks` by the one sum of the module docstring, so a
+    scalar column's equals ``Frame.sum``'s in either mode and for any slot
+    count; a NaN sum is ``math.nan``."""
     _check_column(source, column, arrays=True)
-    reduce, f8 = np.add.reduce, np.float64  # np.sum's kernel, not its wrapper
-    total = 0.0
-    for slot in range(source.n_slots):
-        acc = 0.0
-        for view in source.blocks(column, slot):
-            acc += float(reduce(view, dtype=f8))
-        total += acc
-    return total
+    return _nan_free(_sum_baskets(0.0, source.blocks(column)))
 
 
 def direct_histogram(source: DataSource, column: str, bins: int,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import signal
 import time
@@ -42,6 +43,48 @@ _INT_BOUNDS = {
 
 def int_bounds(etype: ElementType) -> tuple[int, int]:
     return _INT_BOUNDS[etype]
+
+
+def pairwise_sum(values) -> float:
+    """numpy's pairwise summation of a contiguous float64 array, written
+    out in Python over the values as floats: fewer than 8 values add in
+    order; up to 128, eight running sums take every eighth value, meet as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the values
+    past the last multiple of 8 add in order; above 128, the two halves,
+    cut at a multiple of 8, are summed apart. ``np.add.reduce`` adds the
+    result to its identity, +0.0."""
+    a = [float(v) for v in values]
+
+    def part(lo: int, n: int) -> float:
+        if n < 8:
+            res = 0.0
+            for v in a[lo:lo + n]:
+                res += v
+            return res
+        if n <= 128:
+            r = a[lo:lo + 8]
+            i = 8
+            while i < n - n % 8:
+                r = [x + y for x, y in zip(r, a[lo + i:lo + i + 8])]
+                i += 8
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for v in a[lo + i:lo + n]:
+                res += v
+            return res
+        half = n // 2
+        half -= half % 8
+        return part(lo, half) + part(lo + half, n - half)
+
+    return 0.0 + part(0, len(a))
+
+
+def column_sum(baskets) -> float:
+    """The one float64 sum of a column: each basket's pairwise sum, added
+    left to right from +0.0; a NaN total is ``math.nan``."""
+    total = 0.0
+    for values in baskets:
+        total += pairwise_sum(values)
+    return math.nan if total != total else total
 
 
 def random_elements(rng: np.random.Generator, etype: ElementType,

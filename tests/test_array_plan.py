@@ -4,13 +4,15 @@ A bare ``sum`` or ``histogram`` of a catalog column in BULK mode has no
 Python callable between the basket and the reduction, so the frame reduces
 whole baskets with numpy. Its results must be bit for bit those of the
 per-event loops (PER_ENTRY, and the BULK indexed plan that a filter forces),
-for every slot count and element type.
+for every slot count and element type. Sums are also checked against the
+one sum of a column written out in Python (``conftest.column_sum``).
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -21,13 +23,15 @@ from bulkio import (
     ElementType,
     Frame,
     SourceMode,
+    TreeFile,
     TreeWriter,
     direct_histogram,
+    direct_sum,
     make_source,
     scalar,
 )
 
-from conftest import int_bounds
+from conftest import column_sum, int_bounds, pairwise_sum
 
 NUMERIC = [t for t in ElementType if t is not ElementType.BOOL]
 SLOTS = (1, 2, 3)
@@ -40,44 +44,6 @@ def _bits(x: float) -> bytes:
 def _same(a: float, b: float) -> bool:
     """Bit for bit: ``Frame.sum`` returns ``math.nan`` for any NaN sum."""
     return _bits(a) == _bits(b)
-
-
-def _canonical(x: float) -> float:
-    """A Python fold's result as ``Frame.sum`` returns it. When two NaNs of
-    different sign or payload meet in an addition, which one it keeps
-    depends on the operand order of the compiled add, and CPython's own
-    specialised and generic float additions differ in it."""
-    return math.nan if math.isnan(x) else x
-
-
-def _left_fold(values) -> float:
-    acc = 0.0
-    for v in values:
-        acc += v
-    return acc
-
-
-def test_add_accumulate_is_a_left_fold():
-    """The array plan's sum of a basket whose fold it cannot prove exact
-    rests on ``np.add.accumulate`` adding strictly left to right: each
-    output is the one before plus the next input. A numpy that
-    reassociated it, as ``np.sum``'s pairwise summation does, would fail
-    here."""
-    rng = np.random.default_rng(7)
-    cases = [
-        np.array([1e16] + [1.0] * 1000),  # pairwise summation keeps the ones
-        rng.standard_normal(8193) * 10.0 ** rng.integers(-5, 20, size=8193),
-        np.array([2.0**53, 1.0, 1.0, -(2.0**53)] * 50),
-    ]
-    assert np.sum(cases[0]) != _left_fold(cases[0].tolist())
-    for values in cases:
-        for start in (0.0, -3.5, 1e19):
-            buf = np.concatenate([[start], values])
-            acc = start
-            for v in values.tolist():
-                acc += v
-            assert _bits(np.add.accumulate(buf)[-1]) == _bits(acc)
-            assert _bits(np.add.accumulate(buf, out=buf)[-1]) == _bits(acc)
 
 
 def _elements(etype: ElementType):
@@ -116,6 +82,14 @@ def _bounds(data, values):
     return data.draw(st.integers(1, 8), label="bins"), lo, hi
 
 
+def _stored_baskets(path, stored: list) -> list[list]:
+    """The stored values cut where the file's baskets start."""
+    with TreeFile(path) as tf:
+        baskets = tf.branch("x").descriptor.baskets
+    return [stored[bk.first_entry:bk.first_entry + bk.n_entries]
+            for bk in baskets]
+
+
 def _check_plans(path, etype, values, bins, lo, hi) -> None:
     stored = np.array(values, dtype=etype.np_native).tolist()
     for n_slots in SLOTS:
@@ -134,12 +108,9 @@ def _check_plans(path, etype, values, bins, lo, hi) -> None:
             assert direct_histogram(bulk, "x", bins, lo, hi).tolist() == want_hist
             assert bulk.plans_run == {"array": 2, "indexed": 2}
             assert per_entry.plans_run == {"array": 0, "indexed": 2}
-            # the oracle: Python's own left fold per slot, slots in order,
+            # the oracle: the one sum written out over the stored values,
             # and Python's own range test
-            total = 0.0
-            for start, stop in bulk.slot_ranges:
-                total += _left_fold(stored[start:stop])
-            assert _same(want_sum, _canonical(total))
+            assert _same(want_sum, column_sum(_stored_baskets(path, stored)))
             assert sum(want_hist) == sum(1 for v in stored if lo <= v < hi)
 
 
@@ -177,26 +148,24 @@ def test_array_plan_at_its_edges(tmp_path, etype, values, lo, hi):
     _check_plans(path, etype, values, 4, lo, hi)
 
 
-# A basket adds its pairwise sum only when no step of the left fold can
-# round; nine values of _M9 stay under 2**52, nine of _M9 + 1 do not.
+# Cases once at the edges of the array plan's exact-sum rule, under which a
+# basket added its pairwise sum only where no step of a left fold could
+# round (retired with the one sum). They keep their names: each mixes
+# magnitudes, signs, subnormals, signed zeros or integers near 2**53 so
+# that the order of the additions shows in the bits.
 _M9 = 2**52 // 9
 F32, F64 = ElementType.F32, ElementType.F64
 
 
 @pytest.mark.parametrize("etype,values,capacity", [
-    # 2**-133 is off the 2**-128 grid the bound allows, and 2**128 overflows
-    # float32: scaled by it, every value would pass as inf
     (F32, [2.0**-133] * 7 + [2.0**-80], 8),
     (F32, [2.0**-127] + [2.0**-120 + 2.0**-133] * 6 + [2.0**-80], 8),
     (F64, [float(_M9)] * 9 + [float(_M9 + 1)] * 9, 9),
-    # halves: the bound under 2**51 allows the grid 2**-1, over it 2**0
     (F64, [_M9 / 2 + 0.5] * 9 + [0.0] * 9 + [_M9 + 0.5] + [0.0] * 8, 9),
     (F64, [2.0**53 - 8] + [1.0] * 15, 16),
-    # under the bound, but off its grid: the fold loses the small values
     (F64, [1.0] + [2.0**-54] * 14 + [0.0], 16),
     (F32, [2.0**30] + [2.0**-24] * 14 + [0.0], 16),
     (F32, [-(2.0**30)] + [2.0**-24] * 14 + [1.0], 16),
-    # one sign, no value under 2**(q + 23): each is on the grid
     (F32, [1.0 + (2 * k + 1) * 2.0**-23 for k in range(16)], 8),
     (F32, [-1.0 - (2 * k + 1) * 2.0**-23 for k in range(16)], 8),
     (F32, [2.0**-149] * 9 + [2.0**-149] * 8 + [1.0], 9),
@@ -206,9 +175,7 @@ F32, F64 = ElementType.F32, ElementType.F64
     (ElementType.I64, [2**53 // 8 + 1] * 8 + [-(2**53 // 8) - 1] * 8, 8),
     (F32, [-0.0] * 9, 9),
     (F64, [-0.0] * 18, 9),
-    # passes, then fails: 0.25 is off the 2**0 grid the next basket allows
     (F64, [0.25, 0.0, 0.0, 2.0**50, 2.0**50, -(2.0**50)], 3),
-    # fails (it rounds), then a basket that would pass on its own
     (F64, [2.0**53, 1.0, -(2.0**53), 1.0] * 2 + [1.0] * 8, 8),
 ], ids=["f32-scale-overflows", "f32-scale-overflows-inside",
         "f64-integers-straddle-2-52", "f64-halves-straddle-2-51",
@@ -220,44 +187,86 @@ F32, F64 = ElementType.F32, ElementType.F64
         "fails-then-passes"])
 def test_array_plan_sum_at_the_edges_of_its_exact_rule(tmp_path, etype, values,
                                                        capacity):
-    """Each basket against Python's fold. In most of the cases that round,
-    the smallest and largest values are on the grid, so only the test of
-    every value can find the ones that are not."""
+    """Each plan and mode against the oracle, for 1-3 slots."""
     path = tmp_path / "x.bkio"
     _write(path, etype, values, capacity)
     _check_plans(path, etype, values, 4, -1e300, 1e300)
 
 
-def test_the_exact_rule_runs_until_a_basket_fails_it(tmp_path, monkeypatch):
-    """Integer-valued F32 baskets add their pairwise sums; ``[1e16]`` then a
-    thousand ones does not, since pairwise summation keeps the ones the
-    fold loses, and once a basket fails, the rest of its slot folds."""
-    from bulkio import dataframe
+def _all_sums(src) -> list[float]:
+    """``Frame.sum`` bare, behind an always-true filter and through a
+    define, then ``direct_sum``: every path one sum of the column runs."""
+    frame = Frame(src)
+    return [frame.sum("x"),
+            frame.filter(lambda x: True, ["x"]).sum("x"),
+            frame.define("y", lambda x: x, ["x"]).sum("y"),
+            direct_sum(src, "x")]
 
-    calls = []
-    real = dataframe._exact_sum
 
-    def spy(acc, values):
-        got = real(acc, values)
-        calls.append((len(values), got is not None))
-        return got
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), etype=st.sampled_from(NUMERIC),
+       capacity=st.integers(1, 9), n_slots=st.integers(1, 4))
+def test_one_sum_from_every_path_mode_and_slot_count(tmp_path_factory, data,
+                                                     etype, capacity, n_slots):
+    """NaN, infinities, signed zeros, subnormals, mixed magnitudes and
+    64-bit integers past 2**53: each path, in each mode, gives the bits
+    of the oracle, whatever the slot count."""
+    values = data.draw(st.lists(_elements(etype), max_size=40), label="values")
+    path = tmp_path_factory.mktemp("sum") / "x.bkio"
+    _write(path, etype, values, capacity)
+    stored = np.array(values, dtype=etype.np_native).tolist()
+    want = _bits(column_sum(_stored_baskets(path, stored)))
+    for mode in SourceMode:
+        with make_source(path, mode=mode, n_slots=n_slots) as src:
+            assert [_bits(s) for s in _all_sums(src)] == [want] * 4
 
-    monkeypatch.setattr(dataframe, "_exact_sum", spy)
-    cases = [
-        (F32, [float(i) for i in range(100)], 32, [(32, True)] * 3 + [(4, True)]),
-        (F64, [1e16] + [1.0] * 1000, 8192, [(1001, False)]),
-        (F64, [1e16] + [1.0] * 1000, 256, [(256, False)]),
-    ]
-    for etype, values, capacity, want in cases:
-        path = tmp_path / f"x{capacity}.bkio"
-        _write(path, etype, values, capacity)
-        calls.clear()
-        with make_source(path, mode=SourceMode.BULK) as src:
-            got = Frame(src).sum("x")
-        assert calls == want
-        stored = np.array(values, dtype=etype.np_native)
-        assert _same(got, _left_fold(stored.tolist()))
-    assert got != float(np.sum(stored))  # pairwise summation differs
+
+@pytest.mark.parametrize("n_slots", [1, 2, 3])
+def test_a_sum_that_overflows_or_makes_nan_warns_nowhere(tmp_path, n_slots):
+    """``[inf, -inf, 1.0, 1e308]`` makes NaN and ``[1e308, 1e308]``
+    overflows: every path returns ``math.nan`` and numpy warns of neither,
+    not even under ``-W error``."""
+    path = tmp_path / "x.bkio"
+    _write(path, ElementType.F64, [INF, -INF, 1.0, 1e308, 1e308, 1e308], 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in SourceMode:
+            with make_source(path, mode=mode, n_slots=n_slots) as src:
+                assert [_bits(s) for s in _all_sums(src)] == [_bits(math.nan)] * 4
+
+
+BASKET_SIZES = (8191, 8192, 8193, 20000, 28700)
+
+
+def test_a_basket_sum_does_not_depend_on_numpys_buffer_size(tmp_path):
+    """One basket of float32 draws per file, on both sides of numpy's
+    default buffer of 8192 elements. A reduce that casts as it goes sums
+    in buffer-sized chunks, and on the basket of 28700 values, under the
+    default buffer and under one of 4096, its bits differ from the
+    oracle's; every path gives the oracle's under both."""
+    files = []
+    for n in BASKET_SIZES:
+        values = np.random.default_rng([24, n]).standard_exponential(n)
+        path = tmp_path / f"x{n}.bkio"
+        _write(path, ElementType.F32, values, n)
+        files.append((path, values.astype("f4")))
+    for bufsize in (None, 4096):
+        old = np.setbufsize(bufsize) if bufsize else None
+        try:
+            cast_as_it_goes = [float(np.add.reduce(b.astype(">f4"), dtype=np.float64))
+                               for _, b in files]
+            oracle = [pairwise_sum(b.tolist()) for _, b in files]
+            assert cast_as_it_goes != oracle  # the test can tell the two apart
+            for (path, _), want in zip(files, oracle):
+                for mode in SourceMode:
+                    for n_slots in (1, 2):
+                        with make_source(path, mode=mode, n_slots=n_slots) as src:
+                            got = [Frame(src).sum("x"), direct_sum(src, "x")]
+                        assert [_bits(s) for s in got] == [_bits(want)] * 2
+        finally:
+            if old is not None:
+                np.setbufsize(old)
 
 
 @pytest.mark.parametrize("n_slots", [1, 2])

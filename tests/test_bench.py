@@ -15,10 +15,16 @@ from bulkio import (
     Codec,
     ElementType,
     EmptyBenchmark,
+    Frame,
     NoRecords,
+    SourceMode,
     TreeFile,
+    TreeWriter,
+    direct_sum,
     fixed_array,
+    make_source,
     read_footer,
+    scalar,
     var_array,
 )
 from bulkio.cli import main as cli_main
@@ -295,6 +301,37 @@ def test_cli_run_all_scenarios(tmp_path):
     assert r.exit_code == 0, r.output
     for sid in ALL_SCENARIOS:
         assert sid in r.output
+
+
+def test_cli_run_all_scenarios_on_a_file_whose_sum_rounds(tmp_path):
+    """Exponential float32 draws on scales from 1e-6 to 1e6, whose left
+    fold rounds apart from their pairwise sums: the seven scenarios,
+    ``Frame.sum`` in both modes and ``direct_sum`` give one checksum for
+    1-4 slots."""
+    path = tmp_path / "exp.bkio"
+    csv = tmp_path / "exp.csv"
+    rng = np.random.default_rng(9)
+    values = rng.exponential(10.0 ** rng.integers(-6, 7, 40000)).astype("f4")
+    with TreeWriter(path, [("x", ElementType.F32, scalar())],
+                    basket_capacity_entries=8192) as w:  # 5 baskets
+        w.extend(x=values)
+    r = CliRunner().invoke(cli_main, ["run", "--file", str(path), "--scenario",
+                                      "all", "--repeat", "2", "--csv", str(csv)])
+    assert r.exit_code == 0, r.output
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [s for s in ALL_SCENARIOS for _ in "ab"]
+    checksums = {row[-1] for row in rows}
+    assert len(checksums) == 1
+    checksum = float(checksums.pop())
+    left_fold = 0.0
+    for v in values.tolist():
+        left_fold += v
+    assert left_fold != checksum  # the sum the frame once took rounds apart
+    for n_slots in (1, 2, 3, 4):
+        for mode in SourceMode:
+            with make_source(path, mode=mode, n_slots=n_slots) as src:
+                assert Frame(src).sum("x") == checksum
+                assert direct_sum(src, "x") == checksum
 
 
 @pytest.mark.parametrize("shape,elements", [("var", sum(i % 8 for i in range(500))),

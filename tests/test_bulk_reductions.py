@@ -4,15 +4,14 @@ baskets, and the checks of the basket load they read through.
 ``direct_sum``, ``direct_histogram`` and the frame's array plan reduce the
 per-basket views of ``DataSource.blocks``. The reference here reads the
 same baskets with ``get_entries_serialized`` and reduces them by the
-documented order: ``direct_sum`` as one float64 ``np.sum`` per basket,
-added up in order per slot and then across slots; ``Frame.sum`` as the left
-fold ``acc += v`` over Python numbers; histograms with the per-event bin
-rule. Files are written by hand so that basket sizes can be uneven.
+documented rules: both sums as the one sum of a column, each basket's
+pairwise sum added in order from +0.0 over the whole file, written out in
+Python (``conftest.column_sum``); histograms with the per-event bin rule.
+Files are written by hand so that basket sizes can be uneven.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
@@ -45,6 +44,8 @@ from bulkio import (
     var_array,
 )
 from bulkio.format import footer_to_bytes, write_header
+
+from conftest import column_sum
 
 SIZES = [5, 1, 13, 2, 8, 3]  # uneven baskets of 32 entries
 N = sum(SIZES)
@@ -123,33 +124,6 @@ def _serialized(path, column: str) -> list[np.ndarray]:
     return views
 
 
-def _by_slot(src, views) -> list[list[np.ndarray]]:
-    firsts = np.cumsum([0] + [len(v) for v in views[:-1]])
-    return [[v for f, v in zip(firsts, views) if lo <= f < hi]
-            for lo, hi in src.slot_ranges]
-
-
-def _ref_direct_sum(slots) -> float:
-    total = 0.0
-    for views in slots:
-        acc = 0.0
-        for v in views:
-            acc += float(np.sum(v, dtype=np.float64))
-        total += acc
-    return total
-
-
-def _ref_frame_sum(slots) -> float:
-    total = 0.0
-    for views in slots:
-        acc = 0.0
-        for v in views:
-            for x in v.tolist():
-                acc += x
-        total += acc
-    return math.nan if total != total else total
-
-
 def _ref_histogram(views, bins: int, lo: float, hi: float) -> list[int]:
     width = (hi - lo) / bins
     counts = [0] * bins
@@ -180,12 +154,10 @@ def test_bulk_reductions_match_the_serialized_reference(tmp_path, etype, kind,
     else:
         binning = (10, -1e3, 1e3)
     with make_source(path, mode=SourceMode.BULK, n_slots=n_slots) as src:
-        slots = _by_slot(src, views)
         frame = Frame(src)
         got = [direct_sum(src, "x"), frame.sum("x")]
         assert src.baskets_read == 2 * len(SIZES)
-        assert _bits(got[0]) == _bits(_ref_direct_sum(slots))
-        assert _bits(got[1]) == _bits(_ref_frame_sum(slots))
+        assert [_bits(s) for s in got] == [_bits(column_sum(views))] * 2
         want = _ref_histogram(views, *binning)
         assert direct_histogram(src, "x", *binning).tolist() == want
         assert frame.histogram("x", *binning).tolist() == want
@@ -195,8 +167,8 @@ def test_bulk_reductions_match_the_serialized_reference(tmp_path, etype, kind,
 
 @pytest.mark.parametrize("n_slots", [1, 2, 3])
 def test_direct_sum_of_a_var_column_matches_its_baskets(tmp_path, n_slots):
-    """direct_sum of an I64 var column: every element, one np.sum per
-    basket, and a count basket read with each of its baskets."""
+    """direct_sum of an I64 var column: every element, one pairwise sum
+    per basket, and a count basket read with each of its baskets."""
     rng = np.random.default_rng(5)
     rows = [rng.integers(-2**62, 2**62, size=int(rng.integers(0, 5)))
             for _ in range(45)]
@@ -213,10 +185,7 @@ def test_direct_sum_of_a_var_column_matches_its_baskets(tmp_path, n_slots):
             assert cbuf.total() == len(buf.as_array())
             views.append(buf.as_array().copy())
     with make_source(path, mode=SourceMode.BULK, n_slots=n_slots) as src:
-        firsts = [8 * i for i in range(len(views))]
-        slots = [[v for f, v in zip(firsts, views) if lo <= f < hi]
-                 for lo, hi in src.slot_ranges]
-        assert _bits(direct_sum(src, "v")) == _bits(_ref_direct_sum(slots))
+        assert _bits(direct_sum(src, "v")) == _bits(column_sum(views))
         assert src.baskets_read == 2 * len(views)
 
 
