@@ -40,8 +40,8 @@ import numpy as np
 from .dataframe import (
     Frame,
     SourceMode,
+    _Sum,
     _sum_baskets,
-    _sum_collected,
     direct_sum,
     make_source,
 )
@@ -182,10 +182,10 @@ def _prep_get_entry(path: PathArg) -> Callable[[], float]:
 
         def go() -> float:
             ge = rd.get_entry
-            s = 0.0
+            s = _Sum()
             for first, end in spans:
-                s = _sum_collected(s, [ge(entry) for entry in range(first, end)])
-            return s
+                s.add([ge(entry) for entry in range(first, end)])
+            return s.total()
     else:
         def go() -> float:
             ge = rd.get_entry
@@ -224,10 +224,10 @@ def _prep_reader(path: PathArg) -> Callable[[], float]:
         def go() -> float:
             advance = events.next
             deref = proxy.deref
-            s = 0.0
+            s = _Sum()
             for size in sizes:  # each basket's events, advancing to each
-                s = _sum_collected(s, [deref() for _ in range(size) if advance()])
-            return s
+                s.add([deref() for _ in range(size) if advance()])
+            return s.total()
     else:
         proxy = events.attach_array(name, rd.element_type)
 

@@ -13,8 +13,9 @@ over each slot, and the source counts the plans it ran
   per-basket views of :meth:`DataSource.blocks`. Their results are bit for
   bit those of the per-event loop.
 * ``indexed``: every other plan, and every PER_ENTRY one. The node chain is
-  compiled once per window into per-entry accessors and indexed by
-  position, so filters short-circuit. A window is one basket's entries. In
+  compiled into per-entry accessors (once per window in BULK mode, once per
+  slot in PER_ENTRY mode) and indexed by position, so filters
+  short-circuit. A window is one basket's entries. In
   PER_ENTRY mode each column value is one ``BranchReader.get_entry`` call;
   in BULK mode the basket is loaded into each column's reader and decoded
   once into a list of per-event values.
@@ -23,11 +24,13 @@ Every path sums a column the same way, so its bits depend neither on the
 plan nor on the mode nor on the slot count. A basket's sum is the pairwise
 ``np.add.reduce`` over one contiguous native float64 array of that basket's
 selected values: its view cast with ``astype``, or the values the indexed
-loop collected per event. The total is the left fold of the basket sums,
-from +0.0, in entry order over the whole source; slots cut at basket starts,
-so no basket splits across two, and the running total passes from one slot
-to the next. Like Python's float additions, a sum overflows to infinity and
-makes NaN without a warning, and a NaN sum is ``math.nan``.
+loop collected per event (see :class:`_Sum`). The total is the left
+fold of the basket sums, from +0.0, in entry order over the whole source;
+slots cut at basket starts, so no basket splits across two, and the running
+total passes from one slot to the next. Like Python's float additions, a
+sum overflows to infinity and makes NaN without a warning, and a NaN sum is
+``math.nan``. A define's values must be real numbers: None, a string or a
+complex number raises TypeError.
 
 Readers live only while their action runs. :func:`direct_sum` and friends
 bypass the frame and reduce over the same per-basket views, which
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from array import array
 from bisect import bisect_left
 from contextlib import closing
 from functools import partial
@@ -231,9 +235,10 @@ class DataSource:
         """``(entries, {column: value of entry})`` for each basket of a slot.
 
         PER_ENTRY: entries are the basket's entries, each value one
-        ``get_entry`` call. BULK: entries ``0..n-1`` index each column's
-        values decoded from that basket. The readers are released when the
-        generator finishes or is closed.
+        ``get_entry`` call, through one accessor dict for the whole slot.
+        BULK: entries ``0..n-1`` index each column's values decoded from
+        that basket, through a new dict per basket. The readers are
+        released when the generator finishes or is closed.
         """
         start, stop = self.slot_ranges[slot]
         firsts = self._firsts
@@ -407,7 +412,7 @@ class Frame:
         """Float64 sum of a scalar numeric column over passing events, by
         the one sum of the module docstring; a NaN sum is ``math.nan``."""
         self._check_action_column(column)
-        return _nan_free(self._fold(column, _sum_window, _sum_baskets, float))
+        return _nan_free(self._fold(column, _sum_window, _Sum.views, _Sum).total())
 
     def histogram(self, column: str, bins: int, lo: float, hi: float) -> np.ndarray:
         """Fixed-width histogram counts of a scalar numeric column on [lo, hi)."""
@@ -445,7 +450,8 @@ class Frame:
           slot from :meth:`DataSource.blocks`;
         * ``indexed``: every other plan runs
           ``acc = window(acc, entries, read, passes)`` over each window of
-          each slot, from ``acc = zero()``.
+          each slot, from ``acc = zero()``; the node chain is compiled
+          once per accessor dict, so once per slot in PER_ENTRY mode.
 
         Either way the result folds in entry order over the whole source,
         one basket at a time, so a sum is the one sum of the module
@@ -462,8 +468,11 @@ class Frame:
         acc = zero()
         for slot in range(source.n_slots):
             with closing(source._windows(slot, columns)) as windows:
+                compiled = None
                 for entries, values in windows:
-                    read, passes = _compile(nodes, values, column)
+                    if values is not compiled:
+                        compiled = values
+                        read, passes = _compile(nodes, values, column)
                     try:  # would end a caller's generator silently
                         acc = window(acc, entries, read, passes)
                     except StopIteration as exc:
@@ -500,7 +509,8 @@ def _compile(nodes, values: dict, column: Optional[str]):
 
 
 # The indexed inner loops, the same for both source modes: ``entries``
-# indexes the window's values (BULK) or the slot's entries (PER_ENTRY).
+# indexes a window's values (BULK) or its entries (PER_ENTRY); either way a
+# window is one basket.
 
 def _count_window(n: int, entries: range, read, passes) -> int:
     if passes is None:
@@ -511,14 +521,12 @@ def _count_window(n: int, entries: range, read, passes) -> int:
     return n
 
 
-def _sum_window(acc: float, entries: range, read, passes) -> float:
-    """``acc`` plus the sum of one window, a basket: its selected values are
-    collected per event, then summed as :func:`_sum_baskets` sums a view."""
+def _sum_window(acc: "_Sum", entries: range, read, passes) -> "_Sum":
+    """``acc`` fed one window, a basket: its selected values, collected per
+    event."""
     if passes is None:
-        values = [read(e) for e in entries]
-    else:
-        values = [read(e) for e in entries if passes(e)]
-    return _sum_collected(acc, values)
+        return acc.add([read(e) for e in entries])
+    return acc.add([read(e) for e in entries if passes(e)])
 
 
 def _hist_window(lo: float, hi: float, width: float, bins: int,
@@ -532,26 +540,77 @@ def _hist_window(lo: float, hi: float, width: float, bins: int,
     return counts
 
 
-# The array inner loops of a BULK plan with no node: whole-basket kernels
-# over the basket views, with the results of the loops above. Every sum,
-# the indexed loop's too, runs _sum_baskets.
+_BATCH = 1 << 14  # collected values an indexed sum reduces at a time
 
+
+class _Sum:
+    """The running sum of a ``Frame.sum``: the indexed loop feeds it each
+    basket's collected values (:meth:`add`), the array plan the basket
+    views (:meth:`views`); :meth:`total` is the sum of all it was fed.
+
+    Collected values wait in one list, each basket's behind a +0.0, until
+    ``_BATCH`` do. One ``np.add.reduceat`` over them as float64, cut where
+    each basket's +0.0 is, then sums every basket, and the sums add to the
+    running total in order. A segment ``[+0.0, *values]`` is what
+    ``np.add.reduce(values)`` sums, its identity then the values, through
+    the same pairwise kernel, so each basket has the bits of
+    :func:`_sum_baskets`, while numpy runs once per batch, not per basket.
+    The list becomes float64 through ``array("d")``, which takes a value
+    with ``__float__`` or ``__index__`` and raises TypeError for any other
+    (None, a string, a complex number), where ``np.fromiter`` would make
+    NaN of None and parse a string.
+    """
+
+    __slots__ = ("acc", "values", "starts")
+
+    def __init__(self):
+        self.acc = 0.0
+        self.values: list = []
+        self.starts: list[int] = []
+
+    def add(self, values: list) -> "_Sum":
+        self.starts.append(len(self.values))
+        self.values.append(0.0)
+        self.values += values
+        if len(self.values) >= _BATCH:
+            self._reduce()
+        return self
+
+    def views(self, views: Iterable[np.ndarray]) -> "_Sum":
+        self.acc = _sum_baskets(self.total(), views)
+        return self
+
+    def total(self) -> float:
+        if self.starts:
+            self._reduce()
+        return self.acc
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _reduce(self) -> None:
+        values = np.frombuffer(array("d", self.values), np.float64)
+        sums = np.add.reduceat(values, self.starts)
+        self.values, self.starts = [], []
+        acc = self.acc
+        for s in sums.tolist():
+            acc += s
+        self.acc = acc
+
+
+# The array inner loops of a BULK plan with no node: whole-basket kernels
+# over the basket views, with the results of the loops above.
+
+@np.errstate(over="ignore", invalid="ignore")  # as Python's float additions
 def _sum_baskets(acc: float, baskets: Iterable[np.ndarray]) -> float:
     """``acc`` plus the sum of each basket, in order: the one sum of a column
     (see the module docstring). Each basket is a contiguous array, which
     ``astype`` casts to native float64 unless it is that already: a reduce
     that casts as it goes works through ``np.getbufsize()`` elements at a
-    time, each chunk a pairwise sum of its own, so its bits could differ."""
+    time, each chunk a pairwise sum of its own, so its bits could differ.
+    The decorator enters ``np.errstate`` once per call, not per basket."""
     reduce, f8 = np.add.reduce, np.float64  # np.sum's kernel, not its wrapper
-    with np.errstate(over="ignore", invalid="ignore"):  # once per fold
-        for values in baskets:
-            acc += float(reduce(values.astype(f8, copy=False)))
+    for values in baskets:
+        acc += float(reduce(values.astype(f8, copy=False)))
     return acc
-
-
-def _sum_collected(acc: float, values: list) -> float:
-    """``acc`` plus the sum of one basket's values collected per event."""
-    return _sum_baskets(acc, (np.fromiter(values, np.float64, len(values)),))
 
 
 def _nan_free(total: float) -> float:

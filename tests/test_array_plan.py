@@ -148,11 +148,10 @@ def test_array_plan_at_its_edges(tmp_path, etype, values, lo, hi):
     _check_plans(path, etype, values, 4, lo, hi)
 
 
-# Cases once at the edges of the array plan's exact-sum rule, under which a
-# basket added its pairwise sum only where no step of a left fold could
-# round (retired with the one sum). They keep their names: each mixes
-# magnitudes, signs, subnormals, signed zeros or integers near 2**53 so
-# that the order of the additions shows in the bits.
+# Columns whose sum shows the order of its additions in its bits: each
+# mixes magnitudes, signs, subnormals, signed zeros or integers near 2**53,
+# in baskets of 3 to 16 values, around the 8 at which numpy's pairwise
+# kernel starts its eight running sums.
 _M9 = 2**52 // 9
 F32, F64 = ElementType.F32, ElementType.F64
 
@@ -191,6 +190,51 @@ def test_array_plan_sum_at_the_edges_of_its_exact_rule(tmp_path, etype, values,
     path = tmp_path / "x.bkio"
     _write(path, etype, values, capacity)
     _check_plans(path, etype, values, 4, -1e300, 1e300)
+
+
+@pytest.mark.parametrize("n_slots", [1, 2, 3])
+def test_indexed_sums_across_many_baskets_and_batches(tmp_path, n_slots):
+    """An indexed sum reduces its collected values a batch at a time:
+    6001 baskets of 7 float32 draws, and a basket of 40000, more than a
+    batch, then one of 7, give the oracle's bits bare, through a define,
+    behind an always-true filter, and behind one that keeps about half of
+    each basket, in both modes."""
+    rng = np.random.default_rng(2311)
+    small = (rng.standard_exponential(6001 * 7) * 1e3).astype("f4")
+    big = np.concatenate([small[:7], rng.standard_normal(40000).astype("f4")])
+    for name, values, capacity in (("small", small, 7), ("big", big, 40000)):
+        path = tmp_path / f"{name}.bkio"
+        with TreeWriter(path, [("x", ElementType.F32, scalar())],
+                        basket_capacity_entries=capacity) as w:
+            w.extend(x=values)
+        baskets = _stored_baskets(path, values.tolist())
+        half = [[v for v in b if v % 2.0 < 1.0] for b in baskets]
+        want = [_bits(column_sum(baskets))] * 3 + [_bits(column_sum(half))]
+        for mode in SourceMode:
+            with make_source(path, mode=mode, n_slots=n_slots) as src:
+                frame = Frame(src)
+                got = [frame.sum("x"),
+                       frame.define("y", lambda x: x, ["x"]).sum("y"),
+                       frame.filter(lambda x: True, ["x"]).sum("x"),
+                       frame.filter(lambda x: x % 2.0 < 1.0, ["x"]).sum("x")]
+                assert [_bits(s) for s in got] == want
+
+
+@pytest.mark.parametrize("bad", [None, "1.5", 1j], ids=["none", "str", "complex"])
+@pytest.mark.parametrize("n_slots", [1, 2])
+def test_a_summed_define_must_return_real_numbers(tmp_path, bad, n_slots):
+    """A define that returns None, a numeric string or a complex number
+    makes ``Frame.sum`` raise TypeError in both modes; a Python float sum
+    would refuse each."""
+    path = tmp_path / "x.bkio"
+    _write(path, ElementType.F64, [1.0, 2.0, 3.0, 4.0, 5.0], 2)
+    for mode in SourceMode:
+        with make_source(path, mode=mode, n_slots=n_slots) as src:
+            frame = Frame(src).define("y", lambda x: bad if x == 4.0 else x, ["x"])
+            with pytest.raises(TypeError):
+                frame.sum("y")
+            ok = Frame(src).define("y", lambda x: int(x) if x < 3 else np.float32(x), ["x"])
+            assert ok.sum("y") == 15.0
 
 
 def _all_sums(src) -> list[float]:
